@@ -21,6 +21,7 @@
 #include "core/PipelinedSystem.h"
 #include "core/Serialize.h"
 #include "core/Snark.h"
+#include "hash/Sha256.h"
 #include "journal/Crc32.h"
 #include "net/Client.h"
 #include "net/Executor.h"
@@ -30,6 +31,7 @@
 #include "net/Socket.h"
 #include "net/Wire.h"
 #include "obs/Metrics.h"
+#include "util/Hex.h"
 #include "util/Rng.h"
 
 using namespace bzk;
@@ -409,6 +411,40 @@ TEST(NetServer, ServedProofMatchesDurableDerivationAndVerifies)
     auto tables = randomInstance(task.n_vars, rng);
     Snark<Fr> local(task.n_vars, task.seed);
     EXPECT_EQ(serializeProof(local.prove(tables, {})), result->proof);
+}
+
+/** SHA-256 (hex) of the proof bytes SnarkExecutor serves for a task. */
+std::string
+executorProofSha256(sched::ProtocolKind kind, uint32_t n_vars)
+{
+    SnarkExecutor executor;
+    Submit task;
+    task.task_id = 1300 + n_vars;
+    task.n_vars = n_vars;
+    task.seed = 77;
+    task.kind = kind;
+    auto proof = executor.execute(task);
+    auto digest = Sha256::digest(proof);
+    return toHex(std::span<const uint8_t>(digest.bytes));
+}
+
+// Served proof bytes, captured before the encoder's row kernel moved
+// from lifted field coefficients to integer coefficients. Any prover
+// change that keeps the protocol must keep these byte for byte.
+TEST(SnarkExecutorGolden, TableCommitProofDigests)
+{
+    EXPECT_EQ(executorProofSha256(sched::ProtocolKind::TableCommit, 10),
+              "24e3228492b1caffcca0a0f6e2550c0bbfb9d107a3543a963bb00a09bca45a69");
+    EXPECT_EQ(executorProofSha256(sched::ProtocolKind::TableCommit, 14),
+              "45cb9aa7382b527a7dab225c8a55cb1b4c863e65fd26fa1d65a781a170e97c6e");
+}
+
+TEST(SnarkExecutorGolden, HighDegreeGateProofDigests)
+{
+    EXPECT_EQ(executorProofSha256(sched::ProtocolKind::HighDegreeGate, 10),
+              "31ae9e2ff243900461e0608cacc93daa73856962e97ae083727933e441672ab2");
+    EXPECT_EQ(executorProofSha256(sched::ProtocolKind::HighDegreeGate, 14),
+              "fac54f1b98c07872cdb9695c7a6a6b491e45fa50cf23d9d40a9257f2d1971963");
 }
 
 TEST(NetServer, ServesHighDegreeProofsAndCountsPerKind)
