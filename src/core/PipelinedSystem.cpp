@@ -316,6 +316,10 @@ PipelinedZkpSystem::run(size_t batch, unsigned n_vars, Rng &rng)
                 ->gauge("bzk_field_wide_batch_inverse_calls",
                         "wide field batchInverse calls")
                 .set(static_cast<double>(fc.wide_batch_inverse));
+            metrics_
+                ->gauge("bzk_field_u32_dot_rows",
+                        "rows from the integer-coefficient row kernels")
+                .set(static_cast<double>(fc.u32_dot_rows));
         }
     }
 

@@ -8,9 +8,12 @@
  * vertices are rows, left vertices are columns, and an edge carries a
  * non-zero field coefficient.
  *
- * Coefficients are stored as 32-bit integers and lifted into the field
- * on use; this keeps a 2^22-size encoder's matrices in hundreds of
- * megabytes instead of gigabytes while preserving exact linearity.
+ * Coefficients are stored as 32-bit integers, eight bytes per edge with
+ * the column index; this keeps a 2^22-size encoder's matrices in
+ * hundreds of megabytes instead of gigabytes. They are never lifted
+ * into the field: ff::gatherDotU32 multiplies the field elements by
+ * the integers directly and reduces once per row, which gives the same
+ * canonical elements as lifting each coefficient first.
  */
 
 #include <algorithm>
@@ -47,7 +50,7 @@ class SparseMatrix
         entries_.reserve(nnz);
         for (uint8_t d : degrees) {
             for (uint8_t e = 0; e < d; ++e) {
-                Entry entry;
+                ff::U32Term entry;
                 entry.col = static_cast<uint32_t>(rng.nextBounded(cols));
                 // Coefficient in [1, 2^32): never zero, so every edge is
                 // a real edge.
@@ -67,6 +70,14 @@ class SparseMatrix
 
     /** Non-zero count. */
     size_t nnz() const { return entries_.size(); }
+
+    /** Row @p r's terms: column index and integer coefficient. */
+    std::span<const ff::U32Term>
+    row(size_t r) const
+    {
+        return {entries_.data() + offsets_[r],
+                offsets_[r + 1] - offsets_[r]};
+    }
 
     /** out[r] = sum_e coeff_e * x[col_e] over row r's entries. */
     void
@@ -92,31 +103,15 @@ class SparseMatrix
                   "(%zu x %zu vs in %zu out %zu)",
                   rows(), cols_, x.size(), out.size());
         auto run_rows = [&](size_t begin, size_t end) {
-            // Gather each row's operands into contiguous scratch so
-            // the packed field kernels can run over full lanes; the
-            // row sum is exact-field associative, so the lane
-            // reordering leaves the result (and proof bytes)
-            // unchanged.
-            constexpr size_t kGather = 64;
-            F xs[kGather], cs[kGather];
-            for (size_t r = begin; r < end; ++r) {
-                F acc = F::zero();
-                size_t e = offsets_[r];
-                const size_t row_end = offsets_[r + 1];
-                while (e < row_end) {
-                    size_t m = std::min(row_end - e, kGather);
-                    for (size_t k = 0; k < m; ++k) {
-                        xs[k] = x[entries_[e + k].col];
-                        cs[k] = F::fromUint(entries_[e + k].coeff);
-                    }
-                    acc += ff::dotLanes(xs, cs, m);
-                    e += m;
-                }
-                out[r] = acc;
-            }
+            ff::gatherDotU32(offsets_.data() + begin, entries_.data(),
+                             x.data(), out.data() + begin, end - begin);
         };
+        // A non-zero costs a few ns, well below the per-item work the
+        // serial cutoff is sized for, so a stage needs four cutoffs'
+        // worth of non-zeros (4096 by default) before splitting it
+        // beats one thread.
         if (!exec || exec->threads() <= 1 ||
-            nnz() < exec->serialCutoff()) {
+            nnz() < 4 * exec->serialCutoff()) {
             run_rows(0, rows());
             return;
         }
@@ -140,14 +135,8 @@ class SparseMatrix
     }
 
   private:
-    struct Entry
-    {
-        uint32_t col = 0;
-        uint32_t coeff = 0;
-    };
-
     std::vector<size_t> offsets_;
-    std::vector<Entry> entries_;
+    std::vector<ff::U32Term> entries_;
     size_t cols_ = 0;
 };
 

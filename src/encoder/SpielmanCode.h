@@ -10,6 +10,17 @@
  * dense base case, then a reverse pass of second-multiplications
  * (B matrices) — no recursion, so the same code path maps one-to-one
  * onto the stage kernels the GPU drivers charge for.
+ *
+ * Every stage writes straight into the one codeword buffer. Since
+ * E(x) = [x | E(Ax) | B E(Ax)], level l's message and its codeword
+ * start at the same fixed offset o_l (o_0 = 0, o_{l+1} = o_l + k_l):
+ * A_l reads [o_l, o_l + k_l) and writes the next level's message at
+ * o_{l+1}; B_l reads that level's codeword [o_{l+1}, o_{l+1} + k_l/2)
+ * and writes the rest of level l's codeword behind it.
+ *
+ * All matrix coefficients, sparse and dense, are 32-bit integers that
+ * the ff::gatherDotU32 / ff::dotU32 row kernels multiply in without
+ * lifting them into the field.
  */
 
 #include <span>
@@ -54,6 +65,15 @@ class SpielmanCode
     /** The shared topology (degree sequences, seeds). */
     const EncoderTopology &topology() const { return topo_; }
 
+    /** Level @p lvl's shrinking matrix A (k/4 x k). */
+    const SparseMatrix<F> &matrixA(size_t lvl) const { return a_[lvl]; }
+
+    /** Level @p lvl's expanding matrix B (k/2 x k/2). */
+    const SparseMatrix<F> &matrixB(size_t lvl) const { return b_[lvl]; }
+
+    /** The dense base matrix M, row-major, baseSize() squared. */
+    std::span<const uint32_t> baseMatrix() const { return base_; }
+
     /**
      * Encode @p message (length k) into a codeword of length 2k.
      * Linear in the message by construction. With a non-null @p exec
@@ -70,49 +90,46 @@ class SpielmanCode
         if (exec)
             exec->setRegion("encoder");
 
-        size_t depth = a_.size();
+        std::vector<F> cw(message.begin(), message.end());
+        cw.resize(codewordLength());
+        auto at = [&](size_t offset, size_t len) {
+            return std::span<F>(cw.data() + offset, len);
+        };
+
         // Forward pass: x_{l+1} = A_l x_l (first multiplications).
-        std::vector<std::vector<F>> xs(depth + 1);
-        xs[0].assign(message.begin(), message.end());
-        for (size_t l = 0; l < depth; ++l) {
-            xs[l + 1].resize(a_[l].rows());
-            a_[l].mulVec(xs[l], xs[l + 1], exec);
+        // A_0 reads the caller's message rather than its fresh copy,
+        // which on the parallel path would first have to move from
+        // this thread's cache to every worker's.
+        size_t off = 0;
+        for (size_t l = 0; l < a_.size(); ++l) {
+            size_t k_l = topo_.levels()[l].k;
+            a_[l].mulVec(l == 0 ? message : at(off, k_l),
+                         at(off + k_l, k_l / 4), exec);
+            off += k_l;
         }
 
-        // Base case: z = [x | M x].
+        // Base case: E(x) = [x | M x].
         size_t bk = topo_.baseSize();
-        std::vector<F> z(2 * bk);
-        for (size_t i = 0; i < bk; ++i)
-            z[i] = xs[depth][i];
         auto base_rows = [&](size_t begin, size_t end) {
-            // Lift one dense row at a time into field scratch so the
-            // packed dot kernel runs over full lanes; the row sum is
-            // exact-field associative, so the result is unchanged.
-            std::vector<F> coeffs(bk);
-            for (size_t r = begin; r < end; ++r) {
-                for (size_t c = 0; c < bk; ++c)
-                    coeffs[c] = F::fromUint(base_[r * bk + c]);
-                z[bk + r] =
-                    ff::dotLanes(xs[depth].data(), coeffs.data(), bk);
-            }
+            for (size_t r = begin; r < end; ++r)
+                cw[off + bk + r] =
+                    ff::dotU32(base_.data() + r * bk, cw.data() + off, bk);
         };
         if (exec)
             exec->parallelFor(bk, /*serial_cutoff=*/64, base_rows);
         else
             base_rows(0, bk);
 
-        // Reverse pass: z_l = [x_l | z_{l+1} | B_l z_{l+1}] (second
-        // multiplications, smallest stage first — Figure 6).
-        for (size_t l = depth; l-- > 0;) {
+        // Reverse pass: v_l = B_l E(x_{l+1}) completes level l's
+        // codeword (second multiplications, smallest stage first —
+        // Figure 6).
+        for (size_t l = a_.size(); l-- > 0;) {
             size_t k_l = topo_.levels()[l].k;
-            std::vector<F> out(2 * k_l);
-            std::copy(xs[l].begin(), xs[l].end(), out.begin());
-            std::copy(z.begin(), z.end(), out.begin() + k_l);
-            std::span<F> v(out.data() + k_l + z.size(), k_l / 2);
-            b_[l].mulVec(z, v, exec);
-            z = std::move(out);
+            off -= k_l;
+            b_[l].mulVec(at(off + k_l, k_l / 2),
+                         at(off + k_l + k_l / 2, k_l / 2), exec);
         }
-        return z;
+        return cw;
     }
 
   private:

@@ -27,10 +27,10 @@ std::atomic<uint64_t>
 } // namespace
 
 void
-countKernel(Kernel kernel)
+countKernel(Kernel kernel, uint64_t n)
 {
     g_counters[static_cast<size_t>(kernel)].fetch_add(
-        1, std::memory_order_relaxed);
+        n, std::memory_order_relaxed);
 }
 
 namespace {
@@ -453,6 +453,7 @@ kernelCounters()
     c.wide_sum_lanes = load(Kernel::kWideSum);
     c.wide_dot_lanes = load(Kernel::kWideDot);
     c.wide_batch_inverse = load(Kernel::kWideBatchInverse);
+    c.u32_dot_rows = load(Kernel::kU32DotRows);
     return c;
 }
 

@@ -28,6 +28,11 @@
  * Proof bytes therefore do not depend on the selected backend (pinned
  * by test_ff_kat and the system goldens).
  *
+ * The integer-coefficient row kernels (dotU32, gatherDotU32) are the
+ * exception: they are declared for Goldilocks, BN254 Fr and Fq only
+ * and need no SIMD backend, because their inner loop is integer
+ * multiply-accumulate with one reduction per row.
+ *
  * The generic templates below run the portable loop for any field
  * type. Two families have specializations that route through the
  * dispatched backends instead:
@@ -151,6 +156,9 @@ struct KernelCounters
     uint64_t wide_sum_lanes = 0;
     uint64_t wide_dot_lanes = 0;
     uint64_t wide_batch_inverse = 0;
+    // Rows (one output each) produced by the integer-coefficient
+    // kernels dotU32 and gatherDotU32, for every field.
+    uint64_t u32_dot_rows = 0;
 };
 
 /** Snapshot of the process-wide counters (relaxed; monotonic). */
@@ -179,11 +187,12 @@ enum class Kernel {
     kWideSum,
     kWideDot,
     kWideBatchInverse,
+    kU32DotRows,
     kCount_,
 };
 
-/** Bump one kernel's call counter (relaxed atomic). */
-void countKernel(Kernel kernel);
+/** Add @p n to one kernel's counter (relaxed atomic). */
+void countKernel(Kernel kernel, uint64_t n = 1);
 
 /**
  * The Montgomery-trick body shared by the generic batchInverse and
@@ -296,6 +305,38 @@ dotLanes(const F *a, const F *b, size_t n)
 }
 
 /**
+ * One term of a sparse integer-coefficient row: x[col] scaled by the
+ * integer @c coeff. The Spielman encoder stores its expander edges
+ * this way, eight bytes per edge.
+ */
+struct U32Term
+{
+    uint32_t col = 0;
+    uint32_t coeff = 0;
+};
+
+/**
+ * sum_i c[i] * x[i] for integer coefficients c[i] in [0, 2^32): the
+ * dense row of the Spielman encoder's base case. The result is the
+ * canonical element equal to sum_i F::fromUint(c[i]) * x[i], but no
+ * coefficient is ever lifted into the field: the stored limbs are
+ * multiplied by c[i] as integers, accumulated unreduced, and reduced
+ * once per row (docs/PERFORMANCE.md). Declared for Goldilocks, Fr and
+ * Fq only. Counted as one row.
+ */
+template <typename F> F dotU32(const uint32_t *c, const F *x, size_t n);
+
+/**
+ * The gather form over CSR rows: for r in [0, rows),
+ * out[r] = sum of terms[e].coeff * x[terms[e].col] over e in
+ * [offsets[r], offsets[r + 1]). Same arithmetic and fields as
+ * dotU32; @p out must not alias @p x. Counted as @p rows rows.
+ */
+template <typename F>
+void gatherDotU32(const size_t *offsets, const U32Term *terms,
+                  const F *x, F *out, size_t rows);
+
+/**
  * Montgomery batch inversion: replace every non-zero x[i] with its
  * multiplicative inverse using one field inversion plus 3n
  * multiplications. Zero entries are skipped and left as zero — they
@@ -379,6 +420,24 @@ void axpyLanes<Bn254Fq>(Bn254Fq *acc, const Bn254Fq *x, const Bn254Fq &s,
 template <> Bn254Fq sumLanes<Bn254Fq>(const Bn254Fq *a, size_t n);
 template <>
 Bn254Fq dotLanes<Bn254Fq>(const Bn254Fq *a, const Bn254Fq *b, size_t n);
+
+template <>
+Goldilocks dotU32<Goldilocks>(const uint32_t *c, const Goldilocks *x,
+                              size_t n);
+template <>
+void gatherDotU32<Goldilocks>(const size_t *offsets, const U32Term *terms,
+                              const Goldilocks *x, Goldilocks *out,
+                              size_t rows);
+template <>
+Bn254Fr dotU32<Bn254Fr>(const uint32_t *c, const Bn254Fr *x, size_t n);
+template <>
+void gatherDotU32<Bn254Fr>(const size_t *offsets, const U32Term *terms,
+                           const Bn254Fr *x, Bn254Fr *out, size_t rows);
+template <>
+Bn254Fq dotU32<Bn254Fq>(const uint32_t *c, const Bn254Fq *x, size_t n);
+template <>
+void gatherDotU32<Bn254Fq>(const size_t *offsets, const U32Term *terms,
+                           const Bn254Fq *x, Bn254Fq *out, size_t rows);
 
 // The wide batch inversion shares the generic Montgomery-trick body
 // (its multiplies are already single-element chains) but is counted

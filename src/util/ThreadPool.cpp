@@ -1,7 +1,10 @@
 #include "util/ThreadPool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <exception>
+#include <memory>
 
 namespace bzk {
 
@@ -32,6 +35,7 @@ ThreadPool::submit(std::function<void()> job)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         jobs_.push(std::move(job));
+        queued_.fetch_add(1, std::memory_order_relaxed);
         ++in_flight_;
     }
     cv_.notify_one();
@@ -50,34 +54,76 @@ ThreadPool::parallelFor(size_t n,
 {
     if (n == 0)
         return;
-    size_t chunks = std::min(n, workers_.size() * 4);
-    size_t chunk = (n + chunks - 1) / chunks;
-    // An exception escaping workerLoop() would std::terminate the
-    // process, so every chunk is fenced here and the first failure is
-    // rethrown on the caller once all chunks have drained.
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    for (size_t begin = 0; begin < n; begin += chunk) {
-        size_t end = std::min(n, begin + chunk);
-        submit([&body, &first_error, &error_mutex, begin, end] {
+    size_t chunk = (n + workers_.size() * 4 - 1) / (workers_.size() * 4);
+    size_t chunks = (n + chunk - 1) / chunk;
+
+    // Chunks are claimed from a shared counter by the caller and by up
+    // to size() helper jobs, so the caller starts at once and a
+    // helper that wakes late finds less (or no) work instead of
+    // delaying the return. The state is shared because a helper may
+    // still be queued when the caller returns; it then claims nothing
+    // and never touches @p body.
+    struct State
+    {
+        std::atomic<size_t> next{0};
+        std::atomic<size_t> done{0};
+        std::mutex error_mutex;
+        std::exception_ptr first_error;
+    };
+    auto state = std::make_shared<State>();
+    auto drain = [state, fn = &body, n, chunk, chunks] {
+        for (;;) {
+            size_t c = state->next.fetch_add(1, std::memory_order_relaxed);
+            if (c >= chunks)
+                return;
+            // An exception escaping workerLoop() would std::terminate
+            // the process, so every chunk is fenced and the first
+            // failure is rethrown on the caller once all chunks ran.
             try {
-                body(begin, end);
+                (*fn)(c * chunk, std::min(n, (c + 1) * chunk));
             } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
+                std::lock_guard<std::mutex> lock(state->error_mutex);
+                if (!state->first_error)
+                    state->first_error = std::current_exception();
             }
-        });
+            if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+                chunks)
+                state->done.notify_all();
+        }
+    };
+    size_t helpers = std::min(workers_.size(), chunks - 1);
+    for (size_t i = 0; i < helpers; ++i)
+        submit(drain);
+    drain();
+    for (size_t d = state->done.load(std::memory_order_acquire);
+         d != chunks; d = state->done.load(std::memory_order_acquire))
+        state->done.wait(d, std::memory_order_acquire);
+    if (state->first_error)
+        std::rethrow_exception(state->first_error);
+}
+
+void
+ThreadPool::spinForWork() const
+{
+    auto deadline = std::chrono::steady_clock::now() + kSpin;
+    while (queued_.load(std::memory_order_relaxed) == 0) {
+        for (int i = 0; i < 64; ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+            __builtin_ia32_pause();
+#elif defined(__aarch64__)
+            asm volatile("yield");
+#endif
+        }
+        if (std::chrono::steady_clock::now() >= deadline)
+            return;
     }
-    wait();
-    if (first_error)
-        std::rethrow_exception(first_error);
 }
 
 void
 ThreadPool::workerLoop()
 {
     for (;;) {
+        spinForWork();
         std::function<void()> job;
         {
             std::unique_lock<std::mutex> lock(mutex_);
@@ -89,6 +135,7 @@ ThreadPool::workerLoop()
             }
             job = std::move(jobs_.front());
             jobs_.pop();
+            queued_.fetch_sub(1, std::memory_order_relaxed);
         }
         job();
         {

@@ -8,6 +8,8 @@
  * baselines the paper measures (Orion, Arkworks, Libsnark).
  */
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -40,10 +42,13 @@ class ThreadPool
     void wait();
 
     /**
-     * Split [0, n) into contiguous chunks and run @p body(begin, end) on the
-     * pool, blocking until all chunks finish. If any chunk throws, the
-     * first exception (in completion order) is rethrown on the calling
-     * thread after every chunk has finished; the pool stays usable.
+     * Split [0, n) into contiguous chunks and run @p body(begin, end) on
+     * the calling thread plus up to size() workers, blocking until
+     * all chunks finish. Chunks are claimed dynamically, so the caller
+     * never waits for a worker to wake before work starts. If any
+     * chunk throws, the first exception (in completion order) is
+     * rethrown on the calling thread after every chunk has finished;
+     * the pool stays usable.
      */
     void parallelFor(size_t n,
                      const std::function<void(size_t, size_t)> &body);
@@ -52,6 +57,16 @@ class ThreadPool
     size_t size() const { return workers_.size(); }
 
   private:
+    /**
+     * How long an idle worker spins before it blocks. Callers issue
+     * parallelFor back to back (one per encoder stage or Merkle
+     * layer); a worker still spinning picks the next job up without a
+     * futex wake, and submit() then finds no sleeper to signal.
+     */
+    static constexpr std::chrono::microseconds kSpin{200};
+
+    /** Spin until a job is queued or kSpin has passed. */
+    void spinForWork() const;
     void workerLoop();
 
     std::vector<std::thread> workers_;
@@ -59,6 +74,7 @@ class ThreadPool
     std::mutex mutex_;
     std::condition_variable cv_;
     std::condition_variable idle_cv_;
+    std::atomic<size_t> queued_{0};
     size_t in_flight_ = 0;
     bool stopping_ = false;
 };
