@@ -9,9 +9,10 @@
  *
  * An ExecContext resolves a thread count (explicit config >
  * setDefaultThreads() override > BZK_THREADS env > hardware
- * concurrency), borrows a process-wide ThreadPool of that size, and
- * offers a chunked parallelFor with a serial cutoff plus deterministic
- * per-chunk reduction helpers (reduceChunked). The chunk shape of a
+ * concurrency), borrows a process-wide ThreadPool of one worker fewer
+ * (the calling thread runs chunks too), and offers a chunked
+ * parallelFor with a serial cutoff plus deterministic per-chunk
+ * reduction helpers (reduceChunked). The chunk shape of a
  * reduction depends only on the item count, never on the thread count,
  * so reduced field sums — and therefore proof bytes and Merkle roots —
  * are bit-identical for 1, 2, or N threads (pinned by test_exec and
