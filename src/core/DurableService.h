@@ -30,18 +30,11 @@
 #include <vector>
 
 #include "core/PipelinedSystem.h"
+#include "core/TaskProver.h"
 #include "journal/Journal.h"
 #include "journal/Replay.h"
 
 namespace bzk {
-
-/**
- * Instance derivation shared by every service front end: the
- * idempotency key, the public seed, and the table log-size pin the
- * witness stream, so the same task re-proved anywhere (durable
- * replay, the network server) is bit-identical.
- */
-Rng taskInstanceRng(uint64_t task_id, uint64_t seed, uint32_t n_vars);
 
 /** One durable proof request (the caller assigns the idempotent id). */
 struct DurableTaskSpec
@@ -150,10 +143,9 @@ class DurableProofService
 
   private:
     /**
-     * Prove one journaled task with its protocol's prover and return
-     * the serialized proof bytes (empty with @p crashed set when the
-     * crash hook cut processing short). Dispatch is on the record's
-     * kind; both provers share the ProveStage hook seams.
+     * Prove one journaled task with its kind's relation (proveTask)
+     * and return the serialized proof bytes (empty with @p crashed set
+     * when the crash hook cut processing short).
      */
     std::vector<uint8_t> proveTask(const journal::TaskRecord &task,
                                    const CrashHook &crash, bool &crashed);

@@ -32,18 +32,6 @@ pcsShape(unsigned n_vars, size_t &k_rows, size_t &m_cols)
 
 } // namespace
 
-ConstraintTables<Fr>
-randomInstance(unsigned n_vars, Rng &rng)
-{
-    size_t target = (size_t{1} << n_vars) - (size_t{1} << (n_vars - 2));
-    auto circuit = randomCircuit<Fr>(target, 8, rng);
-    std::vector<Fr> witness(circuit.numWitnesses());
-    for (auto &w : witness)
-        w = Fr::random(rng);
-    auto assignment = circuit.evaluate({}, witness);
-    return circuit.buildTables(assignment);
-}
-
 SystemWorkModel
 systemWorkModel(unsigned n_vars, uint64_t seed)
 {

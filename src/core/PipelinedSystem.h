@@ -248,9 +248,6 @@ class SameModulesCpuBaseline
     unsigned cap_vars_;
 };
 
-/** Build a random satisfied instance sized for 2^n_vars rows. */
-ConstraintTables<Fr> randomInstance(unsigned n_vars, Rng &rng);
-
 } // namespace bzk
 
 #endif // BZK_CORE_PIPELINEDSYSTEM_H_

@@ -7,7 +7,7 @@
  *
  * The paper's deployment scenarios (MLaaS, zkBridge) ship proofs over
  * the network, so the library provides a deterministic, bounds-checked
- * byte encoding for both proof types. Layout is little-endian with
+ * byte encoding for every proof type. Layout is little-endian with
  * u32 length prefixes; a version byte leads each proof so the format
  * can evolve.
  */
@@ -20,18 +20,16 @@
 
 #include "core/Bytes.h"
 #include "core/FullSnark.h"
-#include "core/HighDegreeSnark.h"
-#include "core/Snark.h"
+#include "core/TensorSnark.h"
 #include "gkr/Gkr.h"
 
 namespace bzk {
 
 namespace detail {
 
-constexpr uint8_t kSnarkProofTag = 0x01;
+// Tensor-SNARK proofs lead with their relation's kTag (0x01, 0x04).
 constexpr uint8_t kFullSnarkProofTag = 0x02;
 constexpr uint8_t kGkrProofTag = 0x03;
-constexpr uint8_t kHighDegreeProofTag = 0x04;
 /** Caps for hostile length prefixes. */
 constexpr size_t kMaxRounds = 64;
 constexpr size_t kMaxRowLen = size_t{1} << 24;
@@ -124,63 +122,13 @@ readRounds(ByteReader &r)
 
 } // namespace detail
 
-/** Encode a table-commitment proof. */
-template <typename F>
+/** Encode a tensor-SNARK proof under its relation's tag. */
+template <typename F, typename Rel>
 std::vector<uint8_t>
-serializeProof(const SnarkProof<F> &proof)
+serializeProof(const TensorProof<F, Rel> &proof)
 {
     ByteWriter w;
-    w.u8(detail::kSnarkProofTag);
-    w.digest(proof.commit_a.root);
-    w.u8(static_cast<uint8_t>(proof.commit_a.n_vars));
-    w.digest(proof.commit_b.root);
-    w.u8(static_cast<uint8_t>(proof.commit_b.n_vars));
-    w.digest(proof.commit_c.root);
-    w.u8(static_cast<uint8_t>(proof.commit_c.n_vars));
-    detail::writeRounds(w, proof.constraint_sc);
-    w.field(proof.va);
-    w.field(proof.vb);
-    w.field(proof.vc);
-    detail::writeEvalProof(w, proof.open_a);
-    detail::writeEvalProof(w, proof.open_b);
-    detail::writeEvalProof(w, proof.open_c);
-    return w.take();
-}
-
-/** Decode a table-commitment proof; nullopt when malformed. */
-template <typename F>
-std::optional<SnarkProof<F>>
-deserializeProof(std::span<const uint8_t> bytes)
-{
-    ByteReader r(bytes);
-    if (r.u8() != detail::kSnarkProofTag)
-        return std::nullopt;
-    SnarkProof<F> proof;
-    proof.commit_a.root = r.digest();
-    proof.commit_a.n_vars = r.u8();
-    proof.commit_b.root = r.digest();
-    proof.commit_b.n_vars = r.u8();
-    proof.commit_c.root = r.digest();
-    proof.commit_c.n_vars = r.u8();
-    proof.constraint_sc = detail::readRounds<F>(r);
-    proof.va = r.field<F>();
-    proof.vb = r.field<F>();
-    proof.vc = r.field<F>();
-    proof.open_a = detail::readEvalProof<F>(r);
-    proof.open_b = detail::readEvalProof<F>(r);
-    proof.open_c = detail::readEvalProof<F>(r);
-    if (!r.ok() || r.remaining() != 0)
-        return std::nullopt;
-    return proof;
-}
-
-/** Encode a high-degree gate proof (SnarkProof layout, own tag). */
-template <typename F>
-std::vector<uint8_t>
-serializeHighDegreeProof(const HighDegreeProof<F> &proof)
-{
-    ByteWriter w;
-    w.u8(detail::kHighDegreeProofTag);
+    w.u8(Rel::kTag);
     w.digest(proof.commit_a.root);
     w.u8(static_cast<uint8_t>(proof.commit_a.n_vars));
     w.digest(proof.commit_b.root);
@@ -197,15 +145,18 @@ serializeHighDegreeProof(const HighDegreeProof<F> &proof)
     return w.take();
 }
 
-/** Decode a high-degree gate proof; nullopt when malformed. */
-template <typename F>
-std::optional<HighDegreeProof<F>>
-deserializeHighDegreeProof(std::span<const uint8_t> bytes)
+/**
+ * Decode a tensor-SNARK proof of relation @p Rel (table-commit by
+ * default); nullopt when malformed or tagged for another relation.
+ */
+template <typename F, typename Rel = CubicRelation>
+std::optional<TensorProof<F, Rel>>
+deserializeProof(std::span<const uint8_t> bytes)
 {
     ByteReader r(bytes);
-    if (r.u8() != detail::kHighDegreeProofTag)
+    if (r.u8() != Rel::kTag)
         return std::nullopt;
-    HighDegreeProof<F> proof;
+    TensorProof<F, Rel> proof;
     proof.commit_a.root = r.digest();
     proof.commit_a.n_vars = r.u8();
     proof.commit_b.root = r.digest();
@@ -222,6 +173,22 @@ deserializeHighDegreeProof(std::span<const uint8_t> bytes)
     if (!r.ok() || r.remaining() != 0)
         return std::nullopt;
     return proof;
+}
+
+/** Encode a high-degree-gate proof (serializeProof, kept by name). */
+template <typename F>
+std::vector<uint8_t>
+serializeHighDegreeProof(const HighDegreeProof<F> &proof)
+{
+    return serializeProof(proof);
+}
+
+/** Decode a high-degree-gate proof; nullopt when malformed. */
+template <typename F>
+std::optional<HighDegreeProof<F>>
+deserializeHighDegreeProof(std::span<const uint8_t> bytes)
+{
+    return deserializeProof<F, Degree6Relation>(bytes);
 }
 
 /** Encode a wiring-sound proof. */

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "gpusim/FaultInjector.h"
-#include "journal/Journal.h"
 #include "obs/Metrics.h"
 #include "sched/AdmissionQueue.h"
 #include "sched/CycleModel.h"
@@ -85,28 +84,9 @@ StreamingZkpService::run(const StreamingOptions &workload, Rng &rng) const
         now = next_cycle;
         if (auto p = queue.admitOne(now)) {
             // Admitted this cycle; completes after the pipeline depth.
-            // An attached journal records the admission (WAL: the task
-            // is durable before the pipeline owns it) and the ack once
-            // its proof completes, keyed by the admission index so a
-            // replayed run re-derives the same idempotent IDs.
-            if (journal_) {
-                journal::TaskRecord task;
-                task.task_id = result.completed;
-                task.n_vars = workload.n_vars;
-                task.seed = workload.seed;
-                task.kind = workload.kind;
-                journal_->append(task);
-            }
             double completion =
                 now + static_cast<double>(depth) * cycle_ms;
             sojourns.push_back(completion - p->first_arrival);
-            if (journal_) {
-                journal::CompletionRecord ack;
-                ack.task_id = result.completed;
-                ack.n_vars = workload.n_vars;
-                ack.seed = workload.seed;
-                journal_->append(ack);
-            }
             ++result.completed;
             last_completion = std::max(last_completion, completion);
         }

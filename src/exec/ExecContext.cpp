@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <thread>
 
-#include "util/ThreadPool.h"
+#include "exec/ThreadPool.h"
 #include "util/Timer.h"
 
 namespace bzk::exec {

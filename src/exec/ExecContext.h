@@ -33,11 +33,9 @@
 #include <string>
 #include <vector>
 
-namespace bzk {
-class ThreadPool;
-} // namespace bzk
-
 namespace bzk::exec {
+
+class ThreadPool;
 
 /** Host-parallelism knobs, plumbed through every front-end config. */
 struct ExecConfig

@@ -2,7 +2,8 @@
  * @file
  * ExecContext: thread resolution, chunking/cutoff edge cases, the
  * fixed-shape deterministic reduction, nested-region safety, exception
- * propagation, and the region accounting the system metrics read.
+ * propagation, the region accounting the system metrics read, and
+ * the thread pool underneath.
  */
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/ExecContext.h"
+#include "exec/ThreadPool.h"
 #include "ff/Fields.h"
 #include "util/Rng.h"
 
@@ -212,6 +214,73 @@ TEST(ExecContextTest, RegionAccountingTracksWork)
     EXPECT_LE(eff, 1.0);
     exec.resetStats();
     EXPECT_EQ(exec.totals().calls, 0u);
+}
+
+TEST(ThreadPool, RunsAllJobs)
+{
+    ThreadPool pool(4);
+    std::atomic<int> counter{0};
+    for (int i = 0; i < 100; ++i)
+        pool.submit([&counter] { counter.fetch_add(1); });
+    pool.wait();
+    EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPool, ParallelForCoversRange)
+{
+    ThreadPool pool(3);
+    std::vector<std::atomic<int>> hits(1000);
+    pool.parallelFor(1000, [&hits](size_t b, size_t e) {
+        for (size_t i = b; i < e; ++i)
+            hits[i].fetch_add(1);
+    });
+    for (auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForEmpty)
+{
+    ThreadPool pool(2);
+    bool ran = false;
+    pool.parallelFor(0, [&ran](size_t, size_t) { ran = true; });
+    EXPECT_FALSE(ran);
+}
+
+TEST(ThreadPool, WaitWithNoJobsReturns)
+{
+    ThreadPool pool(2);
+    pool.wait();
+    SUCCEED();
+}
+
+TEST(ThreadPool, ParallelForPropagatesWorkerException)
+{
+    // Regression: a throwing body used to escape the worker loop and
+    // std::terminate the process; now the first exception is rethrown
+    // on the caller after all chunks finish.
+    ThreadPool pool(4);
+    EXPECT_THROW(pool.parallelFor(100,
+                                  [](size_t b, size_t) {
+                                      if (b == 0)
+                                          throw std::runtime_error("x");
+                                  }),
+                 std::runtime_error);
+}
+
+TEST(ThreadPool, UsableAfterParallelForException)
+{
+    ThreadPool pool(3);
+    try {
+        pool.parallelFor(100, [](size_t, size_t) {
+            throw std::runtime_error("x");
+        });
+    } catch (const std::runtime_error &) {
+    }
+    std::atomic<int> counter{0};
+    pool.parallelFor(50, [&counter](size_t b, size_t e) {
+        counter.fetch_add(static_cast<int>(e - b));
+    });
+    EXPECT_EQ(counter.load(), 50);
 }
 
 } // namespace

@@ -1,53 +1,59 @@
 /**
  * @file
- * End-to-end tests of the BatchZK SNARK: prove/verify round trips on
- * real circuits, rejection of tampered proofs and unsatisfied tables.
+ * End-to-end tests of the tensor SNARK under both of its relations:
+ * prove/verify round trips, rejection of tampered proofs and
+ * unsatisfied tables, and proofs that do not cross between relations.
  */
 
 #include <gtest/gtest.h>
 
-#include "circuit/Circuit.h"
-#include "core/Snark.h"
+#include "core/Serialize.h"
+#include "core/TensorSnark.h"
 #include "ff/Fields.h"
 
 namespace bzk {
 namespace {
 
-template <typename F>
-class SnarkT : public ::testing::Test
+/** One (field, relation) instantiation of the SNARK. */
+template <typename F, typename R>
+struct Case
 {
+    using Field = F;
+    using Rel = R;
 };
 
-using Fields = ::testing::Types<Fr, Gl64>;
-TYPED_TEST_SUITE(SnarkT, Fields);
-
-template <typename F>
-ConstraintTables<F>
-satisfiedTables(unsigned n_vars, Rng &rng, Circuit<F> *circuit_out = nullptr)
+template <typename C>
+class SnarkT : public ::testing::Test
 {
-    // A random circuit sized to fill 2^n_vars rows.
-    size_t target = (size_t{1} << n_vars) - (size_t{1} << (n_vars - 2));
-    auto c = randomCircuit<F>(target, 8, rng);
-    std::vector<F> witness(c.numWitnesses());
-    for (auto &w : witness)
-        w = F::random(rng);
-    auto asg = c.evaluate({}, witness);
-    auto t = c.buildTables(asg);
-    EXPECT_EQ(t.n_vars, n_vars);
-    if (circuit_out)
-        *circuit_out = c;
-    return t;
-}
+  protected:
+    using F = typename C::Field;
+    using Rel = typename C::Rel;
+    using Snark = TensorSnark<F, Rel>;
+
+    static ConstraintTables<F>
+    satisfiedTables(unsigned n_vars, Rng &rng)
+    {
+        auto tables = Rel::template instance<F>(n_vars, rng);
+        EXPECT_EQ(tables.n_vars, n_vars);
+        return tables;
+    }
+};
+
+using Cases = ::testing::Types<
+    Case<Fr, CubicRelation>, Case<Gl64, CubicRelation>,
+    Case<Fr, Degree6Relation>, Case<Gl64, Degree6Relation>>;
+TYPED_TEST_SUITE(SnarkT, Cases);
 
 TYPED_TEST(SnarkT, ProveVerifyRoundTrip)
 {
-    using F = TypeParam;
     Rng rng(1);
     for (unsigned n : {6u, 8u, 10u}) {
-        auto tables = satisfiedTables<F>(n, rng);
-        Snark<F> snark(n, /*seed=*/99);
+        auto tables = TestFixture::satisfiedTables(n, rng);
+        typename TestFixture::Snark snark(n, /*seed=*/99);
         auto proof = snark.prove(tables, {});
         EXPECT_TRUE(snark.verify(proof, {})) << "n=" << n;
+        for (const auto &g : proof.gate_sc.rounds)
+            EXPECT_EQ(g.size(), TestFixture::Rel::kEvals);
     }
 }
 
@@ -55,11 +61,10 @@ TYPED_TEST(SnarkT, ProofSizeIsNontrivial)
 {
     // The paper notes proofs of this protocol family reach MBs; at toy
     // sizes we just check the accounting is sane and grows.
-    using F = TypeParam;
     Rng rng(2);
-    auto t8 = satisfiedTables<F>(8, rng);
-    auto t10 = satisfiedTables<F>(10, rng);
-    Snark<F> s8(8, 99), s10(10, 99);
+    auto t8 = TestFixture::satisfiedTables(8, rng);
+    auto t10 = TestFixture::satisfiedTables(10, rng);
+    typename TestFixture::Snark s8(8, 99), s10(10, 99);
     auto p8 = s8.prove(t8, {});
     auto p10 = s10.prove(t10, {});
     EXPECT_GT(p8.sizeBytes(), 1000u);
@@ -68,21 +73,21 @@ TYPED_TEST(SnarkT, ProofSizeIsNontrivial)
 
 TYPED_TEST(SnarkT, RejectsUnsatisfiedTables)
 {
-    using F = TypeParam;
+    using F = typename TestFixture::F;
     Rng rng(3);
-    auto tables = satisfiedTables<F>(8, rng);
+    auto tables = TestFixture::satisfiedTables(8, rng);
     tables.c[5] += F::one(); // break one constraint
-    Snark<F> snark(8, 99);
+    typename TestFixture::Snark snark(8, 99);
     auto proof = snark.prove(tables, {});
     EXPECT_FALSE(snark.verify(proof, {}));
 }
 
 TYPED_TEST(SnarkT, RejectsTamperedOpeningValue)
 {
-    using F = TypeParam;
+    using F = typename TestFixture::F;
     Rng rng(4);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfiedTables(8, rng);
+    typename TestFixture::Snark snark(8, 99);
     auto proof = snark.prove(tables, {});
     proof.va += F::one();
     EXPECT_FALSE(snark.verify(proof, {}));
@@ -90,21 +95,20 @@ TYPED_TEST(SnarkT, RejectsTamperedOpeningValue)
 
 TYPED_TEST(SnarkT, RejectsTamperedSumcheckRound)
 {
-    using F = TypeParam;
+    using F = typename TestFixture::F;
     Rng rng(5);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfiedTables(8, rng);
+    typename TestFixture::Snark snark(8, 99);
     auto proof = snark.prove(tables, {});
-    proof.constraint_sc.rounds[2][1] += F::one();
+    proof.gate_sc.rounds[2][1] += F::one();
     EXPECT_FALSE(snark.verify(proof, {}));
 }
 
 TYPED_TEST(SnarkT, RejectsTamperedCommitment)
 {
-    using F = TypeParam;
     Rng rng(6);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfiedTables(8, rng);
+    typename TestFixture::Snark snark(8, 99);
     auto proof = snark.prove(tables, {});
     proof.commit_b.root.bytes[7] ^= 0x80;
     EXPECT_FALSE(snark.verify(proof, {}));
@@ -112,10 +116,9 @@ TYPED_TEST(SnarkT, RejectsTamperedCommitment)
 
 TYPED_TEST(SnarkT, RejectsSwappedOpenings)
 {
-    using F = TypeParam;
     Rng rng(7);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfiedTables(8, rng);
+    typename TestFixture::Snark snark(8, 99);
     auto proof = snark.prove(tables, {});
     std::swap(proof.open_a, proof.open_b);
     std::swap(proof.va, proof.vb);
@@ -124,10 +127,10 @@ TYPED_TEST(SnarkT, RejectsSwappedOpenings)
 
 TYPED_TEST(SnarkT, PublicInputsBindProof)
 {
-    using F = TypeParam;
+    using F = typename TestFixture::F;
     Rng rng(8);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfiedTables(8, rng);
+    typename TestFixture::Snark snark(8, 99);
     std::vector<F> pub{F::fromUint(123)};
     auto proof = snark.prove(tables, pub);
     EXPECT_TRUE(snark.verify(proof, pub));
@@ -139,27 +142,52 @@ TYPED_TEST(SnarkT, DifferentSeedsIncompatible)
 {
     // The encoder seed is a public parameter; a proof under one seed
     // must not verify under another (different code, different columns).
-    using F = TypeParam;
     Rng rng(9);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> prover_side(8, 99);
-    Snark<F> verifier_side(8, 100);
+    auto tables = TestFixture::satisfiedTables(8, rng);
+    typename TestFixture::Snark prover_side(8, 99);
+    typename TestFixture::Snark verifier_side(8, 100);
     auto proof = prover_side.prove(tables, {});
     EXPECT_FALSE(verifier_side.verify(proof, {}));
 }
 
 TYPED_TEST(SnarkT, AllZeroTablesProveAndVerify)
 {
-    // Padding-only tables (0 * 0 = 0 everywhere) are valid.
-    using F = TypeParam;
+    // Padding-only tables (G(0, 0, 0) = 0 everywhere) are valid.
+    using F = typename TestFixture::F;
     ConstraintTables<F> tables;
     tables.n_vars = 6;
     tables.a.assign(64, F::zero());
     tables.b.assign(64, F::zero());
     tables.c.assign(64, F::zero());
-    Snark<F> snark(6, 99);
+    typename TestFixture::Snark snark(6, 99);
     auto proof = snark.prove(tables, {});
     EXPECT_TRUE(snark.verify(proof, {}));
+}
+
+template <typename F>
+class CrossRelationT : public ::testing::Test
+{
+};
+
+using Fields = ::testing::Types<Fr, Gl64>;
+TYPED_TEST_SUITE(CrossRelationT, Fields);
+
+TYPED_TEST(CrossRelationT, RetaggedDegree6ProofRejectedByCubicVerifier)
+{
+    // Same PCS, same wire layout: only the tag, the transcript domain
+    // and the gate tell the relations apart. A degree-6 proof whose tag
+    // is rewritten to the cubic one decodes, but must not verify.
+    using F = TypeParam;
+    Rng rng(10);
+    auto tables = Degree6Relation::instance<F>(8, rng);
+    TensorSnark<F, Degree6Relation> prover(8, 99);
+    auto bytes = serializeProof(prover.prove(tables, {}));
+    ASSERT_EQ(bytes[0], Degree6Relation::kTag);
+    bytes[0] = CubicRelation::kTag;
+    auto retagged = deserializeProof<F, CubicRelation>(bytes);
+    ASSERT_TRUE(retagged.has_value());
+    TensorSnark<F, CubicRelation> verifier(8, 99);
+    EXPECT_FALSE(verifier.verify(*retagged, {}));
 }
 
 } // namespace

@@ -71,10 +71,9 @@
 #include "BatchzkCli.h"
 #include "core/DurableService.h"
 #include "core/FullSnark.h"
-#include "core/HighDegreeSnark.h"
 #include "core/PipelinedSystem.h"
 #include "core/Serialize.h"
-#include "core/Snark.h"
+#include "core/TaskProver.h"
 #include "exec/ExecContext.h"
 #include "gpusim/Device.h"
 #include "gpusim/FaultInjector.h"
@@ -99,6 +98,14 @@ constexpr uint8_t kVersion = 2;
 constexpr uint8_t kSystemTable = 0;
 constexpr uint8_t kSystemFull = 1;
 constexpr uint8_t kSystemHdg = 2;
+
+/** The tensor-SNARK kind whose proofs a non-full system byte holds. */
+sched::ProtocolKind
+kindOfSystem(uint8_t system)
+{
+    return system == kSystemHdg ? sched::ProtocolKind::HighDegreeGate
+                                : sched::ProtocolKind::TableCommit;
+}
 
 /** --kind for single-protocol commands (mixed is sched-only). */
 sched::ProtocolKind
@@ -177,90 +184,101 @@ writeProofFile(const Args &args, uint8_t system,
                 blob.size() + 15);
 }
 
+/**
+ * The public inputs a CLI proof of @p kind binds: the demo circuit's
+ * one input for table-commit, none for the high-degree gate.
+ */
+std::vector<Fr>
+cliPublicInputs(sched::ProtocolKind kind)
+{
+    if (kind == sched::ProtocolKind::HighDegreeGate)
+        return {};
+    return {Fr::fromUint(11)};
+}
+
 int
 cmdProve(const Args &args)
 {
     if (args.log_gates < 8 || args.log_gates > 20)
         fatal("--log-gates must be in [8, 20] for the CLI prover");
-    if (kindByName(args.kind) == sched::ProtocolKind::HighDegreeGate) {
-        // High-degree gate protocol: a^4 * b = c row-wise, instance
-        // regenerable from the seed alone (verify needs only the
-        // proof file).
+    // Instances are regenerable from (log_gates, seed) alone, so verify
+    // needs only the proof file.
+    sched::ProtocolKind kind = kindByName(args.kind);
+    std::vector<Fr> inputs = cliPublicInputs(kind);
+    ConstraintTables<Fr> tables;
+    if (kind == sched::ProtocolKind::HighDegreeGate) {
         std::printf("building a satisfied high-degree gate instance "
                     "with 2^%u rows...\n",
                     args.log_gates);
         Rng rng(args.seed);
-        auto tables = highDegreeInstance<Fr>(args.log_gates, rng);
-        HighDegreeSnark<Fr> snark(args.log_gates, args.seed);
-        exec::ExecContext exec;
-        snark.setExec(&exec);
-        Timer timer;
-        auto proof = snark.prove(tables, {});
-        std::printf("proved in %.1f ms\n", timer.milliseconds());
-        writeProofFile(args, kSystemHdg,
-                       serializeHighDegreeProof(proof));
-        return 0;
+        tables = highDegreeInstance<Fr>(args.log_gates, rng);
+    } else {
+        std::printf("building a deterministic satisfied instance with "
+                    "~2^%u gates (%s system)...\n",
+                    args.log_gates, args.system.c_str());
+        auto circuit = demoCircuit(args.log_gates, args.seed);
+        Rng wit_rng(args.seed + 1);
+        std::vector<Fr> witness(circuit.numWitnesses());
+        for (auto &w : witness)
+            w = Fr::random(wit_rng);
+        auto assignment = circuit.evaluate(inputs, witness);
+        if (args.system == "full") {
+            Timer timer;
+            FullSnark<Fr> snark(buildR1cs(circuit), args.seed);
+            auto proof = snark.prove(inputs, assignment);
+            std::printf("proved in %.1f ms (%zu-byte wiring-sound "
+                        "proof)\n",
+                        timer.milliseconds(), proof.sizeBytes());
+            writeProofFile(args, kSystemFull, serializeFullProof(proof));
+            return 0;
+        }
+        if (args.system != "table")
+            fatal("--system must be 'table' or 'full'");
+        tables = circuit.buildTables(assignment);
     }
-    std::printf("building a deterministic satisfied instance with "
-                "~2^%u gates (%s system)...\n",
-                args.log_gates, args.system.c_str());
-    auto circuit = demoCircuit(args.log_gates, args.seed);
-    Rng wit_rng(args.seed + 1);
-    std::vector<Fr> inputs{Fr::fromUint(11)};
-    std::vector<Fr> witness(circuit.numWitnesses());
-    for (auto &w : witness)
-        w = Fr::random(wit_rng);
-    auto assignment = circuit.evaluate(inputs, witness);
 
     Timer timer;
-    if (args.system == "full") {
-        FullSnark<Fr> snark(buildR1cs(circuit), args.seed);
-        auto proof = snark.prove(inputs, assignment);
-        std::printf("proved in %.1f ms (%zu-byte wiring-sound proof)\n",
-                    timer.milliseconds(), proof.sizeBytes());
-        writeProofFile(args, kSystemFull, serializeFullProof(proof));
-    } else if (args.system == "table") {
-        auto tables = circuit.buildTables(assignment);
-        // WAL discipline: the task is durable before any proving work,
-        // so a killed prove is recoverable via `batchzk recover`.
-        std::unique_ptr<journal::Journal> journal;
-        if (!args.journal_dir.empty()) {
-            journal = std::make_unique<journal::Journal>(
-                journal::JournalOptions{args.journal_dir});
-            journal::TaskRecord task;
-            task.task_id = args.seed;
-            task.n_vars = tables.n_vars;
-            task.seed = args.seed;
-            journal->append(task);
-        }
-        Snark<Fr> snark(tables.n_vars, args.seed);
+    // WAL discipline: the task is durable before any proving work, so
+    // a killed prove is recoverable via `batchzk recover`.
+    std::unique_ptr<journal::Journal> journal;
+    if (!args.journal_dir.empty()) {
+        journal = std::make_unique<journal::Journal>(
+            journal::JournalOptions{args.journal_dir});
+        journal::TaskRecord task;
+        task.task_id = args.seed;
+        task.n_vars = tables.n_vars;
+        task.seed = args.seed;
+        task.kind = kind;
+        journal->append(task);
+    }
+    auto blob = withRelation(kind, [&](auto rel) {
+        TensorSnark<Fr, decltype(rel)> snark(tables.n_vars, args.seed);
         exec::ExecContext exec;
         snark.setExec(&exec);
         auto proof = snark.prove(tables, inputs);
         std::printf("proved in %.1f ms (%zu-byte proof)\n",
                     timer.milliseconds(), proof.sizeBytes());
-        auto blob = serializeProof(proof);
-        if (journal) {
-            // Ack-only completion: the proof artifact is the .bzkp
-            // file; the ledger records that this task finished so
-            // `recover` will not re-prove it.
-            journal::CompletionRecord done;
-            done.task_id = args.seed;
-            done.n_vars = tables.n_vars;
-            done.seed = args.seed;
-            journal->append(done);
-            std::printf("journaled task + completion under %s (%zu "
-                        "records, %llu bytes)\n",
-                        args.journal_dir.c_str(),
-                        journal->stats().task_appends +
-                            journal->stats().completion_appends,
-                        static_cast<unsigned long long>(
-                            journal->stats().bytes_appended));
-        }
-        writeProofFile(args, kSystemTable, blob);
-    } else {
-        fatal("--system must be 'table' or 'full'");
+        return serializeProof(proof);
+    });
+    if (journal) {
+        // Ack-only completion: the proof artifact is the .bzkp file;
+        // the ledger records that this task finished so `recover` will
+        // not re-prove it.
+        journal::CompletionRecord done;
+        done.task_id = args.seed;
+        done.n_vars = tables.n_vars;
+        done.seed = args.seed;
+        journal->append(done);
+        std::printf("journaled task + completion under %s (%zu "
+                    "records, %llu bytes)\n",
+                    args.journal_dir.c_str(),
+                    journal->stats().task_appends +
+                        journal->stats().completion_appends,
+                    static_cast<unsigned long long>(
+                        journal->stats().bytes_appended));
     }
+    bool hdg = kind == sched::ProtocolKind::HighDegreeGate;
+    writeProofFile(args, hdg ? kSystemHdg : kSystemTable, blob);
     return 0;
 }
 
@@ -354,38 +372,33 @@ cmdVerify(const Args &args)
     std::vector<uint8_t> blob;
     if (!readProofFile(args.in, log_gates, system, seed, blob))
         return 2;
-    std::vector<Fr> inputs{Fr::fromUint(11)};
     Timer timer;
-    bool ok = false;
+    std::optional<bool> verdict; // nullopt: malformed proof
     if (system == kSystemFull) {
-        auto proof = deserializeFullProof<Fr>(blob);
-        if (!proof) {
-            std::printf("REJECT (malformed proof)\n");
-            return 1;
+        if (auto proof = deserializeFullProof<Fr>(blob)) {
+            FullSnark<Fr> snark(buildR1cs(demoCircuit(log_gates, seed)),
+                                seed);
+            timer.reset();
+            verdict = snark.verify(
+                *proof, cliPublicInputs(sched::ProtocolKind::TableCommit));
         }
-        auto circuit = demoCircuit(log_gates, seed);
-        FullSnark<Fr> snark(buildR1cs(circuit), seed);
-        timer.reset();
-        ok = snark.verify(*proof, inputs);
-    } else if (system == kSystemHdg) {
-        auto proof = deserializeHighDegreeProof<Fr>(blob);
-        if (!proof) {
-            std::printf("REJECT (malformed proof)\n");
-            return 1;
-        }
-        HighDegreeSnark<Fr> snark(proof->commit_a.n_vars, seed);
-        timer.reset();
-        ok = snark.verify(*proof, {});
     } else {
-        auto proof = deserializeProof<Fr>(blob);
-        if (!proof) {
-            std::printf("REJECT (malformed proof)\n");
-            return 1;
-        }
-        Snark<Fr> snark(proof->commit_a.n_vars, seed);
-        timer.reset();
-        ok = snark.verify(*proof, inputs);
+        sched::ProtocolKind kind = kindOfSystem(system);
+        verdict = withRelation(kind, [&](auto rel) -> std::optional<bool> {
+            using Rel = decltype(rel);
+            auto proof = deserializeProof<Fr, Rel>(blob);
+            if (!proof)
+                return std::nullopt;
+            TensorSnark<Fr, Rel> snark(proof->commit_a.n_vars, seed);
+            timer.reset();
+            return snark.verify(*proof, cliPublicInputs(kind));
+        });
     }
+    if (!verdict) {
+        std::printf("REJECT (malformed proof)\n");
+        return 1;
+    }
+    bool ok = *verdict;
     std::printf("%s (verified in %.1f ms)\n", ok ? "ACCEPT" : "REJECT",
                 timer.milliseconds());
     return ok ? 0 : 1;
@@ -419,25 +432,20 @@ cmdInfo(const Args &args)
                         proof->phase1.rounds.size(),
                         proof->phase2.rounds.size(),
                         proof->open_w.columns.size());
-    } else if (system == kSystemHdg) {
-        auto proof = deserializeHighDegreeProof<Fr>(blob);
-        std::printf("blob        : %zu bytes (%s)\n", blob.size(),
-                    proof ? "well-formed" : "MALFORMED");
-        if (proof)
-            std::printf("sum-check   : %zu degree-6 rounds; %zu opened "
-                        "columns per table\n",
-                        proof->gate_sc.rounds.size(),
-                        proof->open_a.columns.size());
-    } else {
-        auto proof = deserializeProof<Fr>(blob);
-        std::printf("blob        : %zu bytes (%s)\n", blob.size(),
-                    proof ? "well-formed" : "MALFORMED");
-        if (proof)
-            std::printf("sum-check   : %zu rounds; %zu opened columns "
-                        "per table\n",
-                        proof->constraint_sc.rounds.size(),
-                        proof->open_a.columns.size());
+        return 0;
     }
+    sched::ProtocolKind kind = kindOfSystem(system);
+    withRelation(kind, [&](auto rel) {
+        using Rel = decltype(rel);
+        auto proof = deserializeProof<Fr, Rel>(blob);
+        std::printf("blob        : %zu bytes (%s)\n", blob.size(),
+                    proof ? "well-formed" : "MALFORMED");
+        if (proof)
+            std::printf("sum-check   : %zu degree-%zu rounds; %zu opened "
+                        "columns per table\n",
+                        proof->gate_sc.rounds.size(), Rel::kEvals - 1,
+                        proof->open_a.columns.size());
+    });
     return 0;
 }
 
@@ -819,17 +827,8 @@ cmdSubmit(const Args &args)
                          result ? "rejected" : "connection lost");
             return 1;
         }
-        bool proof_ok = false;
-        if (kind == sched::ProtocolKind::HighDegreeGate) {
-            auto proof =
-                deserializeHighDegreeProof<Fr>(result->proof);
-            HighDegreeSnark<Fr> snark(task.n_vars, task.seed);
-            proof_ok = proof && snark.verify(*proof, {});
-        } else {
-            auto proof = deserializeProof<Fr>(result->proof);
-            Snark<Fr> snark(task.n_vars, task.seed);
-            proof_ok = proof && snark.verify(*proof, {});
-        }
+        bool proof_ok = verifyTaskProof(kind, result->proof, task.n_vars,
+                                        task.seed);
         if (!proof_ok) {
             std::fprintf(stderr,
                          "submit: task %llu proof REJECTED\n",
