@@ -379,6 +379,47 @@ TEST(SchedLanePolicy, PerKindMetricsCountTasksAndWork)
     EXPECT_GT(hdg, tc);
 }
 
+TEST(SchedWorkModel, ProtocolWorkModelGoldens)
+{
+    // Exact per-kind work models at seed 2024, captured before the
+    // per-kind model code became a lookup of the relation's sum-check
+    // costs. Every field is an integer, so the pins are exact.
+    struct Golden
+    {
+        sched::ProtocolKind kind;
+        unsigned n_vars;
+        double encoder_cycles, merkle_cycles, sumcheck_cycles;
+        size_t encoder_stages, merkle_stages, sumcheck_stages;
+        uint64_t h2d_bytes, d2h_bytes, device_bytes;
+    };
+    const Golden goldens[] = {
+        {sched::ProtocolKind::TableCommit, 10, 218628096.0, 7174200.0,
+         6451200.0, 1, 7, 12, 327680, 1064960, 67207168},
+        {sched::ProtocolKind::TableCommit, 14, 2268266496.0,
+         109817400.0, 103219200.0, 3, 9, 16, 5242880, 1310720,
+         68681728},
+        {sched::ProtocolKind::HighDegreeGate, 10, 218628096.0,
+         7174200.0, 20951040.0, 1, 7, 12, 327680, 1064960, 67207168},
+        {sched::ProtocolKind::HighDegreeGate, 14, 2268266496.0,
+         109817400.0, 335216640.0, 3, 9, 16, 5242880, 1310720,
+         68681728},
+    };
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(std::string(sched::protocolKindName(g.kind)) +
+                     " n_vars " + std::to_string(g.n_vars));
+        auto m = protocolWorkModel(g.kind, g.n_vars, 2024);
+        EXPECT_EQ(m.encoder_cycles, g.encoder_cycles);
+        EXPECT_EQ(m.merkle_cycles, g.merkle_cycles);
+        EXPECT_EQ(m.sumcheck_cycles, g.sumcheck_cycles);
+        EXPECT_EQ(m.encoder_stages, g.encoder_stages);
+        EXPECT_EQ(m.merkle_stages, g.merkle_stages);
+        EXPECT_EQ(m.sumcheck_stages, g.sumcheck_stages);
+        EXPECT_EQ(m.h2d_bytes, g.h2d_bytes);
+        EXPECT_EQ(m.d2h_bytes, g.d2h_bytes);
+        EXPECT_EQ(m.device_bytes, g.device_bytes);
+    }
+}
+
 TEST(LaneAllocatorTest, ProportionalSplitMatchesStageCosts)
 {
     auto graph = systemStageGraph(systemWorkModel(12, 2024));
