@@ -186,8 +186,9 @@ DurableProofService::verifyAll() const
 {
     for (const auto &[id, completion] : proofs_) {
         // Ack-only completions (empty proof) record that the task
-        // finished while the proof artifact lives elsewhere — the
-        // CLI's `prove --journal-dir` writes them. Nothing to re-check.
+        // finished while the proof artifact lives elsewhere (older
+        // `batchzk prove --journal-dir` runs wrote them). Nothing to
+        // re-check.
         if (completion.proof.empty())
             continue;
         // Completion records predate protocol kinds; the proof's own

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/TaskProver.h"
 #include "encoder/GpuEncoder.h"
 #include "exec/ExecContext.h"
 #include "ff/FieldBackend.h"
@@ -33,7 +34,8 @@ pcsShape(unsigned n_vars, size_t &k_rows, size_t &m_cols)
 } // namespace
 
 SystemWorkModel
-systemWorkModel(unsigned n_vars, uint64_t seed)
+protocolWorkModel(sched::ProtocolKind kind, unsigned n_vars,
+                  uint64_t seed)
 {
     size_t k, m;
     pcsShape(n_vars, k, m);
@@ -60,12 +62,15 @@ systemWorkModel(unsigned n_vars, uint64_t seed)
         ++merkle_layers;
     model.merkle_stages = merkle_layers;
 
-    // Sum-check: the cubic constraint sum-check over 2^n rows (folds of
-    // four tables plus the degree-3 round evaluations), and the PCS
+    // Sum-check: the relation's gate sum-check over 2^n rows (its
+    // modelled multiplies and adds per pair), and the PCS
     // row-combination passes (2 combos x 3 tables).
-    double per_pair = 12.0 * gpusim::kFieldMulCycles +
-                      30.0 * gpusim::kFieldAddCycles +
-                      3.0 * gpusim::kGlobalAccessCycles;
+    double per_pair = withRelation(kind, [](auto rel) {
+        using Rel = decltype(rel);
+        return Rel::kModelMulsPerPair * gpusim::kFieldMulCycles +
+               Rel::kModelAddsPerPair * gpusim::kFieldAddCycles +
+               3.0 * gpusim::kGlobalAccessCycles;
+    });
     double combos = 6.0 * n_entries *
                     (gpusim::kFieldMulCycles + gpusim::kFieldAddCycles);
     model.sumcheck_cycles = n_entries * per_pair + combos;
@@ -89,36 +94,9 @@ systemWorkModel(unsigned n_vars, uint64_t seed)
 }
 
 SystemWorkModel
-highDegreeWorkModel(unsigned n_vars, uint64_t seed)
+systemWorkModel(unsigned n_vars, uint64_t seed)
 {
-    // Same commitments and transfer budgets as the table-commit
-    // protocol: three tables through the same encoder and Merkle
-    // modules, same streamed bytes and device residency.
-    SystemWorkModel model = systemWorkModel(n_vars, seed);
-    double n_entries = static_cast<double>(size_t{1} << n_vars);
-
-    // Degree-6 gate sum-check: each pair evaluates eq * (a^4 b - c) at
-    // 7 points per round (t=0,1 from the half-tables, 5 interior points
-    // via affine folds, a^4 via two squarings) plus the end-of-round
-    // folds of four tables — ~56 muls and ~70 adds per pair against
-    // the cubic prover's 12 and 30. PCS row combinations are unchanged.
-    double per_pair = 56.0 * gpusim::kFieldMulCycles +
-                      70.0 * gpusim::kFieldAddCycles +
-                      3.0 * gpusim::kGlobalAccessCycles;
-    double combos = 6.0 * n_entries *
-                    (gpusim::kFieldMulCycles + gpusim::kFieldAddCycles);
-    model.sumcheck_cycles = n_entries * per_pair + combos;
-    model.sumcheck_stages = n_vars + 2;
-    return model;
-}
-
-SystemWorkModel
-protocolWorkModel(sched::ProtocolKind kind, unsigned n_vars,
-                  uint64_t seed)
-{
-    if (kind == sched::ProtocolKind::HighDegreeGate)
-        return highDegreeWorkModel(n_vars, seed);
-    return systemWorkModel(n_vars, seed);
+    return protocolWorkModel(sched::kLegacyProtocolKind, n_vars, seed);
 }
 
 sched::StageGraph
@@ -146,8 +124,8 @@ systemStageGraph(const SystemWorkModel &model)
 sched::ProofTask
 makeProofTask(unsigned n_vars, uint64_t seed, uint64_t id, int priority)
 {
-    return makeProofTask(sched::ProtocolKind::TableCommit, n_vars, seed,
-                         id, priority);
+    return makeProofTask(sched::kLegacyProtocolKind, n_vars, seed, id,
+                         priority);
 }
 
 sched::ProofTask

@@ -141,21 +141,19 @@ struct SystemWorkModel
     }
 };
 
-/** Derive the per-proof work model for tables of 2^n_vars rows. */
-SystemWorkModel systemWorkModel(unsigned n_vars, uint64_t seed);
-
 /**
- * Work model for the HighDegreeGate protocol: the commitments (encoder
- * and Merkle modules) and transfer budgets match systemWorkModel, but
- * the degree-6 gate sum-check's 7-point round evaluations make the
- * sum-check module ~4x costlier — the HyperPlonk-style cost mix the
- * measured-cost lane policy is built for.
+ * Derive the per-proof work model of @p kind for tables of 2^n_vars
+ * rows. Every kind shares the commitments (encoder and Merkle modules)
+ * and transfer budgets; the sum-check module costs the multiplies and
+ * adds per pair that the kind's relation models, so the degree-6 gate
+ * is ~4x the cubic relation's sum-check (the HyperPlonk-style cost mix
+ * the measured-cost lane policy is built for).
  */
-SystemWorkModel highDegreeWorkModel(unsigned n_vars, uint64_t seed);
-
-/** Work model for @p kind (dispatches to the two models above). */
 SystemWorkModel protocolWorkModel(sched::ProtocolKind kind,
                                   unsigned n_vars, uint64_t seed);
+
+/** Work model of the legacy (table-commit) protocol. */
+SystemWorkModel systemWorkModel(unsigned n_vars, uint64_t seed);
 
 /**
  * Lower @p model into the scheduler's stage graph: encoder, Merkle,

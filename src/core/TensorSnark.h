@@ -40,6 +40,7 @@
 #include "core/TensorPcs.h"
 #include "ff/Fields.h"
 #include "hash/Transcript.h"
+#include "sched/ProtocolKind.h"
 #include "sumcheck/GateSumcheck.h"
 #include "util/Rng.h"
 
@@ -85,11 +86,16 @@ pow4(const F &x)
  */
 struct CubicRelation
 {
+    static constexpr auto kKind = sched::ProtocolKind::TableCommit;
     static constexpr size_t kEvals = 4;
     static constexpr uint8_t kTag = 0x01;
     static constexpr std::string_view kDomain = "batchzk.snark.v1";
     static constexpr std::string_view kRoundLabel = "csc.g";
     static constexpr std::string_view kChallengeLabel = "csc.r";
+    // Simulated sum-check work per row pair: the cubic round
+    // evaluations plus the folds of four tables.
+    static constexpr double kModelMulsPerPair = 12.0;
+    static constexpr double kModelAddsPerPair = 30.0;
 
     template <typename F>
     static F
@@ -118,11 +124,17 @@ struct CubicRelation
  */
 struct Degree6Relation
 {
+    static constexpr auto kKind = sched::ProtocolKind::HighDegreeGate;
     static constexpr size_t kEvals = 7;
     static constexpr uint8_t kTag = 0x04;
     static constexpr std::string_view kDomain = "batchzk.hdg.v1";
     static constexpr std::string_view kRoundLabel = "hdg.g";
     static constexpr std::string_view kChallengeLabel = "hdg.r";
+    // Simulated sum-check work per row pair: eq * (a^4 b - c) at 7
+    // points (five via affine folds, a^4 via two squarings) plus the
+    // folds of four tables.
+    static constexpr double kModelMulsPerPair = 56.0;
+    static constexpr double kModelAddsPerPair = 70.0;
 
     template <typename F>
     static F

@@ -111,20 +111,15 @@ decodeTaskRecordChecked(std::span<const uint8_t> body, TaskRecord *out)
     record.n_vars = r.u32();
     record.priority = static_cast<int32_t>(r.u32());
     record.seed = r.u64();
-    if (version >= 2) {
-        uint8_t kind_byte = r.u8();
-        if (!r.ok() || r.remaining() != 0)
-            return RecordDecodeError::Malformed;
-        auto kind = sched::protocolKindFromByte(kind_byte);
-        if (!kind)
-            return RecordDecodeError::UnknownKind;
-        record.kind = *kind;
-    } else {
-        // v1 bodies predate protocol kinds: legacy workload.
-        record.kind = sched::ProtocolKind::TableCommit;
-    }
+    // v1 bodies predate protocol kinds: legacy workload.
+    std::optional<sched::ProtocolKind> kind = sched::kLegacyProtocolKind;
+    if (version >= 2)
+        kind = sched::protocolKindFromByte(r.u8());
     if (!r.ok() || r.remaining() != 0)
         return RecordDecodeError::Malformed;
+    if (!kind)
+        return RecordDecodeError::UnknownKind;
+    record.kind = *kind;
     *out = record;
     return RecordDecodeError::Ok;
 }

@@ -114,10 +114,9 @@ SyncClient::receive(double timeout_ms)
 std::optional<Result>
 SyncClient::roundTrip(const Submit &task, double timeout_ms)
 {
-    // A v1 connection cannot carry a protocol kind; refuse up front
+    // Refuse a kind the negotiated version cannot carry up front
     // rather than hitting the encoder's caller-error panic.
-    if (task.kind != sched::ProtocolKind::TableCommit &&
-        version_ < 2)
+    if (!sched::wireCanCarry(task.kind, version_))
         return std::nullopt;
     if (!send(Message{task}))
         return std::nullopt;

@@ -39,14 +39,14 @@ writeBody(ByteWriter &w, const Submit &m, uint8_t version)
     w.u64(m.task_id);
     w.u32(m.n_vars);
     w.u64(m.seed);
-    if (version >= 2) {
+    // A frame too old to carry the kind would silently downgrade it to
+    // the legacy protocol and prove the wrong statement.
+    if (!sched::wireCanCarry(m.kind, version))
+        panic("encodeFrame: Submit kind %s needs a newer wire version "
+              "than %u",
+              sched::protocolKindName(m.kind), unsigned{version});
+    if (version >= 2)
         w.u8(static_cast<uint8_t>(m.kind));
-    } else if (m.kind != sched::ProtocolKind::TableCommit) {
-        // A v1 frame has nowhere to carry the kind; silently encoding
-        // it as the legacy protocol would prove the wrong statement.
-        panic("encodeFrame: Submit kind %s needs wire version >= 2",
-              sched::protocolKindName(m.kind));
-    }
 }
 
 void
@@ -103,20 +103,13 @@ readSubmit(ByteReader &r, uint8_t version)
     m.task_id = r.u64();
     m.n_vars = r.u32();
     m.seed = r.u64();
-    if (version >= 2) {
-        uint8_t kind_byte = r.u8();
-        if (!r.ok())
-            return WireError::Malformed;
-        auto kind = sched::protocolKindFromByte(kind_byte);
-        if (!kind)
-            return WireError::Malformed;
-        m.kind = *kind;
-    } else {
-        // v1 peers predate protocol kinds: legacy workload.
-        m.kind = sched::ProtocolKind::TableCommit;
-    }
-    if (!r.ok() || r.remaining() != 0)
+    // v1 peers predate protocol kinds: legacy workload.
+    std::optional<sched::ProtocolKind> kind = sched::kLegacyProtocolKind;
+    if (version >= 2)
+        kind = sched::protocolKindFromByte(r.u8());
+    if (!kind || !r.ok() || r.remaining() != 0)
         return WireError::Malformed;
+    m.kind = *kind;
     return Message{m};
 }
 

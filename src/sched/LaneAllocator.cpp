@@ -2,22 +2,6 @@
 
 namespace bzk::sched {
 
-const char *
-stageKindName(StageKind kind)
-{
-    switch (kind) {
-      case StageKind::Encoder:
-        return "encoder";
-      case StageKind::Merkle:
-        return "merkle";
-      case StageKind::FiatShamir:
-        return "fiat-shamir";
-      case StageKind::Sumcheck:
-        return "sumcheck";
-    }
-    return "unknown";
-}
-
 std::vector<double>
 LaneAllocator::proportionalSplit(const StageGraph &graph) const
 {

@@ -85,20 +85,6 @@ struct InFlight
 
 } // namespace
 
-const char *
-lanePolicyName(LanePolicy policy)
-{
-    switch (policy) {
-      case LanePolicy::Proportional:
-        return "proportional";
-      case LanePolicy::FixedRatio:
-        return "fixed-ratio";
-      case LanePolicy::MeasuredCost:
-        return "measured-cost";
-    }
-    return "unknown";
-}
-
 PipelineScheduler::PipelineScheduler(gpusim::Device &dev,
                                      SchedulerOptions opt)
     : dev_(dev), opt_(opt)

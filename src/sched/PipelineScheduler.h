@@ -68,9 +68,6 @@ enum class LanePolicy
     MeasuredCost,
 };
 
-/** Stable display name ("proportional", "fixed-ratio", "measured-cost"). */
-const char *lanePolicyName(LanePolicy policy);
-
 /** Scheduler policy knobs (mirrors the system-level ablations). */
 struct SchedulerOptions
 {

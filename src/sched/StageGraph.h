@@ -31,9 +31,6 @@ enum class StageKind
 /** Number of stage kinds (for per-kind cost tables). */
 constexpr size_t kNumStageKinds = 4;
 
-/** Human-readable stage name (stable, used in traces and tables). */
-const char *stageKindName(StageKind kind);
-
 /**
  * One module group of the per-task pipeline. Costs are amortized per
  * task: @c lane_cycles is the total lane-cycle budget the module spends
@@ -130,16 +127,6 @@ class StageGraph
         uint64_t bytes = 0;
         for (const Stage &s : stages_)
             bytes += s.d2h_bytes;
-        return bytes;
-    }
-
-    /** Host-staging bytes held while the task is in flight. */
-    uint64_t
-    stagingBytes() const
-    {
-        uint64_t bytes = 0;
-        for (const Stage &s : stages_)
-            bytes += s.staging_bytes;
         return bytes;
     }
 

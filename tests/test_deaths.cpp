@@ -10,6 +10,7 @@
 
 #include "../tools/BatchzkCli.h"
 #include "circuit/Circuit.h"
+#include "core/TaskProver.h"
 #include "encoder/SpielmanCode.h"
 #include "ff/Fields.h"
 #include "gpusim/Device.h"
@@ -17,6 +18,7 @@
 #include "merkle/MerkleTree.h"
 #include "net/Wire.h"
 #include "poly/Multilinear.h"
+#include "sched/ProtocolKind.h"
 #include "sumcheck/Sumcheck.h"
 
 namespace bzk {
@@ -194,6 +196,53 @@ TEST(DeathTest, WireV1CannotCarryHighDegreeSubmit)
         "wire version");
 }
 
+TEST(ProtocolSpecDeathTest, EveryRowAgreesAcrossLayers)
+{
+    for (const sched::ProtocolSpec &spec : sched::kProtocols) {
+        SCOPED_TRACE(spec.name);
+        auto byte = static_cast<uint8_t>(spec.kind);
+        EXPECT_STREQ(sched::protocolKindName(spec.kind), spec.name);
+        EXPECT_STREQ(sched::protocolKindMetricName(spec.kind),
+                     spec.metric_name);
+        EXPECT_EQ(sched::protocolKindFromByte(byte), spec.kind);
+        EXPECT_EQ(sched::protocolKindByName(spec.name), spec.kind);
+
+        // The relation that proves the kind names it, and its proof
+        // tag maps back to it.
+        auto [rel_kind, tag] = withRelation(spec.kind, [](auto rel) {
+            using Rel = decltype(rel);
+            return std::pair{Rel::kKind, Rel::kTag};
+        });
+        EXPECT_EQ(rel_kind, spec.kind);
+        EXPECT_EQ(kindOfProofTag(tag), spec.kind);
+
+        // The wire rule and the v1 encoder agree: it panics exactly
+        // when the table says v1 cannot carry the kind.
+        net::Submit submit;
+        submit.kind = spec.kind;
+        EXPECT_TRUE(sched::wireCanCarry(spec.kind, net::kWireVersion));
+        if (sched::wireCanCarry(spec.kind, 1))
+            EXPECT_FALSE(net::encodeFrame(net::Message{submit}, 1).empty());
+        else
+            EXPECT_DEATH(
+                { (void)net::encodeFrame(net::Message{submit}, 1); },
+                "wire version");
+    }
+    EXPECT_TRUE(sched::wireCanCarry(sched::kLegacyProtocolKind, 1));
+
+    // Unknown bytes, names and tags are rejected.
+    EXPECT_FALSE(sched::protocolKindFromByte(
+        static_cast<uint8_t>(sched::kNumProtocolKinds)));
+    EXPECT_FALSE(sched::protocolKindFromByte(0xff));
+    EXPECT_FALSE(sched::protocolKindByName("plonk"));
+    EXPECT_FALSE(sched::protocolKindByName("mixed"));
+    EXPECT_FALSE(kindOfProofTag(0x00));
+    EXPECT_FALSE(kindOfProofTag(0x02)); // the full SNARK's tag
+    auto unknown = static_cast<sched::ProtocolKind>(0xff);
+    EXPECT_STREQ(sched::protocolKindName(unknown), "?");
+    EXPECT_FALSE(sched::wireCanCarry(unknown, net::kWireVersion));
+}
+
 // Regression tests for the batchzk shell contract: unknown subcommands
 // and flags must be rejected with a diagnostic (the binary then exits
 // nonzero with usage), never fall through to a half-configured run.
@@ -298,6 +347,27 @@ TEST(CliParse, RejectsUnknownKindAndLanePolicy)
     EXPECT_TRUE(result.ok) << result.error;
     EXPECT_EQ(args.kind, "mixed");
     EXPECT_EQ(args.lane_policy, "measured-cost");
+    // mixed is a batch of kinds: only sched can run one.
+    for (const char *command : {"prove", "submit"}) {
+        cli::Args single;
+        result = parseArgv({"batchzk", command, "--kind", "mixed"},
+                           single);
+        EXPECT_FALSE(result.ok) << command;
+        EXPECT_EQ(result.error,
+                  "flag '--kind mixed' is only taken by sched");
+    }
+}
+
+TEST(CliParse, JournalDirIsRecoverOnly)
+{
+    // prove used to journal a task that recover then re-proved as a
+    // different statement; the flag now belongs to recover alone.
+    cli::Args args;
+    auto result = parseArgv(
+        {"batchzk", "prove", "--journal-dir", "/tmp/j"}, args);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error,
+              "flag '--journal-dir' is only taken by recover");
 }
 
 TEST(CliParse, TraceAndMetricsTakePositionalOutput)

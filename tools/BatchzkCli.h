@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "sched/ProtocolKind.h"
+
 namespace bzk::cli {
 
 /** Parsed batchzk invocation. */
@@ -36,8 +38,8 @@ struct Args
     uint64_t rate = 0;           // serve: per-tenant submits/s (0 = off)
     size_t window = 0;           // serve: in-flight window (0 = derive)
     size_t queue_cap = 4096;     // serve: admission-queue capacity
-    // Proving protocol: "table-commit", "high-degree-gate", or (sched
-    // only) "mixed" for a batch alternating between the two.
+    // Proving protocol: a sched::kProtocols name, or (sched only)
+    // "mixed" for a batch cycling through every kind.
     std::string kind = "table-commit";
     // sched: lane split policy, "proportional", "fixed-ratio", or
     // "measured-cost".
@@ -184,12 +186,13 @@ parse(int argc, char **argv, Args &args)
                 return need_number("--queue-cap");
             args.queue_cap = number;
         } else if (key == "--kind") {
-            if (value != "table-commit" &&
-                value != "high-degree-gate" && value != "mixed")
-                return ParseResult::fail(
-                    "flag '--kind' needs table-commit, "
-                    "high-degree-gate, or mixed, got '" +
-                    value + "'");
+            if (value != "mixed" && !sched::protocolKindByName(value)) {
+                std::string names;
+                for (const sched::ProtocolSpec &spec : sched::kProtocols)
+                    names += spec.name + std::string(", ");
+                return ParseResult::fail("flag '--kind' needs " + names +
+                                         "or mixed, got '" + value + "'");
+            }
             args.kind = value;
         } else if (key == "--lane-policy") {
             if (value != "proportional" && value != "fixed-ratio" &&
@@ -203,6 +206,12 @@ parse(int argc, char **argv, Args &args)
             return ParseResult::fail("unknown flag '" + key + "'");
         }
     }
+    if (args.kind == "mixed" && args.command != "sched")
+        return ParseResult::fail("flag '--kind mixed' is only taken by "
+                                 "sched");
+    if (!args.journal_dir.empty() && args.command != "recover")
+        return ParseResult::fail("flag '--journal-dir' is only taken by "
+                                 "recover");
     return {};
 }
 

@@ -2,11 +2,12 @@
  * @file
  * batchzk — command-line front end for the library.
  *
- *   batchzk prove   --log-gates N [--seed S] [--out FILE]
- *       generate a random satisfied instance, prove it, write the
+ *   batchzk prove   --log-gates N [--seed S] [--out FILE] [--kind K]
+ *       generate a satisfied instance of kind K, prove it, write the
  *       proof (with its parameter header) to FILE;
  *   batchzk verify  --in FILE
- *       read a proof file and verify it;
+ *       read a proof file and verify it with the relation its proof
+ *       tag names (exit 2 if the header's system byte disagrees);
  *   batchzk info    --in FILE
  *       print a proof file's parameters and sizes;
  *   batchzk simulate [--gpu NAME] [--log-gates N] [--batch B]
@@ -27,7 +28,7 @@
  *       PLAN is either `random:SEED:INTENSITY` or a comma list of
  *       stall:B-E:M, lanes:B-E:F, corrupt:C[:N] events;
  *   batchzk sched   [--gpu NAME] [--sizes N,N,...] [--log-gates N]
- *                   [--batch B]
+ *                   [--batch B] [--kind K|mixed]
  *       run a heterogeneous batch (mixed table log-sizes) through the
  *       pipeline scheduler and print per-task admission / completion
  *       accounting plus the aggregate schedule. --sizes takes a comma
@@ -46,16 +47,12 @@
  *       pipeline depth from the GPU model). --log-gates caps the task
  *       size a Submit may carry;
  *   batchzk submit  [--port P] [--tenant T] [--batch B]
- *                   [--log-gates N] [--seed S]
+ *                   [--log-gates N] [--seed S] [--kind K]
  *       submit B tasks to a running service, wait for the proofs,
  *       verify each one locally, and print the round-trip accounting.
  *
- * `serve` and `submit` speak the framed wire protocol documented in
- * docs/SERVICE.md.
- *
- * `prove` additionally accepts --journal-dir DIR to journal the task
- * before proving and its completion (with the proof bytes) after, so a
- * killed prove can be finished later with `batchzk recover`.
+ * K is a sched::kProtocols name; `mixed` (sched only) cycles through
+ * them. `serve` and `submit` speak the wire protocol in docs/SERVICE.md.
  */
 
 #include <chrono>
@@ -63,7 +60,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,7 +73,6 @@
 #include "exec/ExecContext.h"
 #include "gpusim/Device.h"
 #include "gpusim/FaultInjector.h"
-#include "journal/Journal.h"
 #include "net/Client.h"
 #include "net/Executor.h"
 #include "net/Server.h"
@@ -99,24 +94,12 @@ constexpr uint8_t kSystemTable = 0;
 constexpr uint8_t kSystemFull = 1;
 constexpr uint8_t kSystemHdg = 2;
 
-/** The tensor-SNARK kind whose proofs a non-full system byte holds. */
-sched::ProtocolKind
-kindOfSystem(uint8_t system)
+/** The .bzkp system byte of a tensor-SNARK proof of @p kind. */
+uint8_t
+systemByteOf(sched::ProtocolKind kind)
 {
-    return system == kSystemHdg ? sched::ProtocolKind::HighDegreeGate
-                                : sched::ProtocolKind::TableCommit;
-}
-
-/** --kind for single-protocol commands (mixed is sched-only). */
-sched::ProtocolKind
-kindByName(const std::string &name)
-{
-    if (name == "high-degree-gate")
-        return sched::ProtocolKind::HighDegreeGate;
-    if (name == "table-commit")
-        return sched::ProtocolKind::TableCommit;
-    fatal("--kind '%s' is not valid here (mixed is sched-only)",
-          name.c_str());
+    return kind == sched::ProtocolKind::HighDegreeGate ? kSystemHdg
+                                                       : kSystemTable;
 }
 
 sched::LanePolicy
@@ -202,8 +185,8 @@ cmdProve(const Args &args)
     if (args.log_gates < 8 || args.log_gates > 20)
         fatal("--log-gates must be in [8, 20] for the CLI prover");
     // Instances are regenerable from (log_gates, seed) alone, so verify
-    // needs only the proof file.
-    sched::ProtocolKind kind = kindByName(args.kind);
+    // needs only the proof file. parse() admits no "mixed" here.
+    sched::ProtocolKind kind = *sched::protocolKindByName(args.kind);
     std::vector<Fr> inputs = cliPublicInputs(kind);
     ConstraintTables<Fr> tables;
     if (kind == sched::ProtocolKind::HighDegreeGate) {
@@ -238,19 +221,6 @@ cmdProve(const Args &args)
     }
 
     Timer timer;
-    // WAL discipline: the task is durable before any proving work, so
-    // a killed prove is recoverable via `batchzk recover`.
-    std::unique_ptr<journal::Journal> journal;
-    if (!args.journal_dir.empty()) {
-        journal = std::make_unique<journal::Journal>(
-            journal::JournalOptions{args.journal_dir});
-        journal::TaskRecord task;
-        task.task_id = args.seed;
-        task.n_vars = tables.n_vars;
-        task.seed = args.seed;
-        task.kind = kind;
-        journal->append(task);
-    }
     auto blob = withRelation(kind, [&](auto rel) {
         TensorSnark<Fr, decltype(rel)> snark(tables.n_vars, args.seed);
         exec::ExecContext exec;
@@ -260,25 +230,7 @@ cmdProve(const Args &args)
                     timer.milliseconds(), proof.sizeBytes());
         return serializeProof(proof);
     });
-    if (journal) {
-        // Ack-only completion: the proof artifact is the .bzkp file;
-        // the ledger records that this task finished so `recover` will
-        // not re-prove it.
-        journal::CompletionRecord done;
-        done.task_id = args.seed;
-        done.n_vars = tables.n_vars;
-        done.seed = args.seed;
-        journal->append(done);
-        std::printf("journaled task + completion under %s (%zu "
-                    "records, %llu bytes)\n",
-                    args.journal_dir.c_str(),
-                    journal->stats().task_appends +
-                        journal->stats().completion_appends,
-                    static_cast<unsigned long long>(
-                        journal->stats().bytes_appended));
-    }
-    bool hdg = kind == sched::ProtocolKind::HighDegreeGate;
-    writeProofFile(args, hdg ? kSystemHdg : kSystemTable, blob);
+    writeProofFile(args, systemByteOf(kind), blob);
     return 0;
 }
 
@@ -333,15 +285,29 @@ cmdRecover(const Args &args)
     return 0;
 }
 
-bool
-readProofFile(const std::string &path, unsigned &log_gates,
-              uint8_t &system, uint64_t &seed,
-              std::vector<uint8_t> &blob)
+/** A parsed .bzkp file. */
+struct ProofFile
+{
+    unsigned log_gates = 0;
+    uint8_t system = 0;
+    uint64_t seed = 0;
+    /** The tensor-SNARK kind its proof tag names; unset for full. */
+    std::optional<sched::ProtocolKind> kind;
+    std::vector<uint8_t> blob;
+};
+
+/**
+ * Read @p path. nullopt (after a diagnostic) when the magic or version
+ * is wrong, or a tensor-SNARK file's system byte disagrees with the
+ * kind its proof tag names.
+ */
+std::optional<ProofFile>
+readProofFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-        return false;
+        return std::nullopt;
     }
     char magic[4];
     uint8_t header[11];
@@ -351,48 +317,58 @@ readProofFile(const std::string &path, unsigned &log_gates,
         header[0] != kVersion) {
         std::fprintf(stderr, "'%s' is not a batchzk proof file\n",
                      path.c_str());
-        return false;
+        return std::nullopt;
     }
-    log_gates = header[1];
-    system = header[2];
-    seed = 0;
+    ProofFile file;
+    file.log_gates = header[1];
+    file.system = header[2];
     for (int i = 0; i < 8; ++i)
-        seed |= static_cast<uint64_t>(header[3 + i]) << (8 * i);
-    blob.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-    return true;
+        file.seed |= static_cast<uint64_t>(header[3 + i]) << (8 * i);
+    file.blob.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    if (file.system == kSystemFull)
+        return file;
+    uint8_t tag = file.blob.empty() ? 0 : file.blob[0];
+    file.kind = kindOfProofTag(tag);
+    if (!file.kind || systemByteOf(*file.kind) != file.system) {
+        std::fprintf(stderr,
+                     "'%s': header system byte %u does not match proof "
+                     "tag 0x%02x\n",
+                     path.c_str(), unsigned{file.system}, unsigned{tag});
+        return std::nullopt;
+    }
+    return file;
 }
 
 int
 cmdVerify(const Args &args)
 {
-    unsigned log_gates;
-    uint8_t system;
-    uint64_t seed;
-    std::vector<uint8_t> blob;
-    if (!readProofFile(args.in, log_gates, system, seed, blob))
+    auto file = readProofFile(args.in);
+    if (!file)
         return 2;
     Timer timer;
     std::optional<bool> verdict; // nullopt: malformed proof
-    if (system == kSystemFull) {
-        if (auto proof = deserializeFullProof<Fr>(blob)) {
-            FullSnark<Fr> snark(buildR1cs(demoCircuit(log_gates, seed)),
-                                seed);
+    if (!file->kind) {
+        if (auto proof = deserializeFullProof<Fr>(file->blob)) {
+            FullSnark<Fr> snark(
+                buildR1cs(demoCircuit(file->log_gates, file->seed)),
+                file->seed);
             timer.reset();
             verdict = snark.verify(
                 *proof, cliPublicInputs(sched::ProtocolKind::TableCommit));
         }
     } else {
-        sched::ProtocolKind kind = kindOfSystem(system);
-        verdict = withRelation(kind, [&](auto rel) -> std::optional<bool> {
-            using Rel = decltype(rel);
-            auto proof = deserializeProof<Fr, Rel>(blob);
-            if (!proof)
-                return std::nullopt;
-            TensorSnark<Fr, Rel> snark(proof->commit_a.n_vars, seed);
-            timer.reset();
-            return snark.verify(*proof, cliPublicInputs(kind));
-        });
+        verdict = withRelation(
+            *file->kind, [&](auto rel) -> std::optional<bool> {
+                using Rel = decltype(rel);
+                auto proof = deserializeProof<Fr, Rel>(file->blob);
+                if (!proof)
+                    return std::nullopt;
+                TensorSnark<Fr, Rel> snark(proof->commit_a.n_vars,
+                                           file->seed);
+                timer.reset();
+                return snark.verify(*proof, cliPublicInputs(Rel::kKind));
+            });
     }
     if (!verdict) {
         std::printf("REJECT (malformed proof)\n");
@@ -407,22 +383,20 @@ cmdVerify(const Args &args)
 int
 cmdInfo(const Args &args)
 {
-    unsigned log_gates;
-    uint8_t system;
-    uint64_t seed;
-    std::vector<uint8_t> blob;
-    if (!readProofFile(args.in, log_gates, system, seed, blob))
+    auto file = readProofFile(args.in);
+    if (!file)
         return 2;
+    const std::vector<uint8_t> &blob = file->blob;
     std::printf("file        : %s\n", args.in.c_str());
     std::printf("format      : BZKP v%u\n", kVersion);
     std::printf("system      : %s\n",
-                system == kSystemFull   ? "full (wiring-sound)"
-                : system == kSystemHdg ? "high-degree-gate"
-                                        : "table");
-    std::printf("circuit     : ~2^%u gates\n", log_gates);
+                file->system == kSystemFull  ? "full (wiring-sound)"
+                : file->system == kSystemHdg ? "high-degree-gate"
+                                             : "table");
+    std::printf("circuit     : ~2^%u gates\n", file->log_gates);
     std::printf("encoder seed: %llu\n",
-                static_cast<unsigned long long>(seed));
-    if (system == kSystemFull) {
+                static_cast<unsigned long long>(file->seed));
+    if (!file->kind) {
         auto proof = deserializeFullProof<Fr>(blob);
         std::printf("blob        : %zu bytes (%s)\n", blob.size(),
                     proof ? "well-formed" : "MALFORMED");
@@ -434,8 +408,7 @@ cmdInfo(const Args &args)
                         proof->open_w.columns.size());
         return 0;
     }
-    sched::ProtocolKind kind = kindOfSystem(system);
-    withRelation(kind, [&](auto rel) {
+    withRelation(*file->kind, [&](auto rel) {
         using Rel = decltype(rel);
         auto proof = deserializeProof<Fr, Rel>(blob);
         std::printf("blob        : %zu bytes (%s)\n", blob.size(),
@@ -670,9 +643,8 @@ cmdSched(const Args &args)
     for (size_t i = 0; i < sizes.size(); ++i) {
         sched::ProtocolKind kind =
             args.kind == "mixed"
-                ? (i % 2 ? sched::ProtocolKind::HighDegreeGate
-                         : sched::ProtocolKind::TableCommit)
-                : kindByName(args.kind);
+                ? sched::kProtocols[i % sched::kNumProtocolKinds].kind
+                : *sched::protocolKindByName(args.kind);
         tasks.push_back(makeProofTask(kind, sizes[i], opt.seed, i));
     }
     auto result = system.runTasks(std::move(tasks));
@@ -789,9 +761,8 @@ cmdSubmit(const Args &args)
     std::printf("connected (wire v%u, server window %u)\n",
                 unsigned{client.ack().version}, client.ack().window);
 
-    sched::ProtocolKind kind = kindByName(args.kind);
-    if (kind != sched::ProtocolKind::TableCommit &&
-        client.version() < 2) {
+    sched::ProtocolKind kind = *sched::protocolKindByName(args.kind);
+    if (!sched::wireCanCarry(kind, client.version())) {
         std::fprintf(stderr,
                      "submit: server negotiated wire v%u, which "
                      "cannot carry --kind %s\n",
