@@ -10,9 +10,9 @@
 namespace bzk {
 
 DurableProofService::DurableProofService(
-    gpusim::Device &dev, journal::JournalOptions journal_opt,
-    SystemOptions opt, obs::MetricsRegistry *metrics)
-    : dev_(dev), opt_(opt), metrics_(metrics)
+    journal::JournalOptions journal_opt, SystemOptions opt,
+    obs::MetricsRegistry *metrics)
+    : opt_(opt), metrics_(metrics)
 {
     Timer timer;
     auto replayed = journal::replayJournal(journal_opt.dir, metrics_);
@@ -30,18 +30,12 @@ DurableProofService::DurableProofService(
     recovery_.torn_records = replayed.torn_records;
     recovery_.torn = replayed.torn;
     recovery_.duplicates = replayed.duplicate_tasks;
-
-    // Re-submit unfinished work into the pipeline scheduler now so the
-    // admission accounting reflects the recovered queue.
-    if (!pending_.empty())
-        scheduleAccounting();
     recovery_.recovery_wall_ms = timer.milliseconds();
 
     if (metrics_) {
         metrics_
             ->gauge("bzk_journal_recovery_ms",
-                    "replay + re-submission wall time of the last "
-                    "recovery")
+                    "replay wall time of the last recovery")
             .set(recovery_.recovery_wall_ms);
         metrics_
             ->counter("bzk_journal_resubmitted_total",
@@ -108,8 +102,8 @@ DurableProofService::proveTask(const journal::TaskRecord &task,
 size_t
 DurableProofService::processAll(const CrashHook &crash)
 {
-    // Priority-first, ties in admission order — the AdmissionQueue's
-    // policy, applied to the durable queue.
+    // Priority-first, ties in admission order — the pipeline
+    // scheduler's admission policy, applied to the durable queue.
     std::stable_sort(pending_.begin(), pending_.end(),
                      [](const journal::TaskRecord &a,
                         const journal::TaskRecord &b) {
@@ -159,26 +153,6 @@ DurableProofService::processAll(const CrashHook &crash)
                        }),
         pending_.end());
     return completed;
-}
-
-sched::SchedulerResult
-DurableProofService::scheduleAccounting()
-{
-    if (pending_.empty())
-        return {};
-    std::vector<sched::ProofTask> tasks;
-    tasks.reserve(pending_.size());
-    for (const auto &t : pending_)
-        tasks.push_back(makeProofTask(t.kind, t.n_vars, t.seed,
-                                      t.task_id, t.priority));
-    sched::SchedulerOptions sched_opt;
-    sched_opt.seed = opt_.seed;
-    sched_opt.overlap_transfers = opt_.overlap_transfers;
-    sched_opt.dynamic_loading = opt_.dynamic_loading;
-    sched_opt.lane_policy = opt_.lane_policy;
-    sched::PipelineScheduler scheduler(dev_, sched_opt);
-    scheduler.setObservability(metrics_, nullptr);
-    return scheduler.run(std::move(tasks));
 }
 
 bool

@@ -10,10 +10,11 @@
  * every produced proof is journaled before it counts as complete. On
  * construction the service replays the journal directory: completed
  * proofs are restored from their completion records, and tasks that
- * were admitted but never completed are re-submitted into the pipeline
- * scheduler. Task IDs are idempotency keys — duplicate submissions and
- * double replay are absorbed (bzk_journal_duplicates_total), so
- * at-least-once replay still yields exactly-one proof per task.
+ * were admitted but never completed go back on the pending list for the
+ * next processAll(). Task IDs are idempotency keys — duplicate
+ * submissions and double replay are absorbed
+ * (bzk_journal_duplicates_total), so at-least-once replay still yields
+ * exactly-one proof per task.
  *
  * Because instances are derived deterministically from (task_id, seed,
  * n_vars) and the prover is transcript-deterministic, a proof produced
@@ -58,7 +59,7 @@ struct RecoveryInfo
     size_t records_replayed = 0;
     /** Completed proofs restored from completion records. */
     size_t proofs_restored = 0;
-    /** Unfinished tasks re-submitted into the scheduler. */
+    /** Unfinished tasks put back on the pending list. */
     size_t tasks_resubmitted = 0;
     /** Invalid records/headers the scan stopped at. */
     size_t torn_records = 0;
@@ -66,7 +67,7 @@ struct RecoveryInfo
     journal::TornInfo torn;
     /** Duplicate task records absorbed during replay. */
     size_t duplicates = 0;
-    /** Wall time of replay + re-submission, ms. */
+    /** Wall time of replay, ms. */
     double recovery_wall_ms = 0.0;
 };
 
@@ -85,14 +86,12 @@ class DurableProofService
 
     /**
      * Open (and if needed recover) the journal at @p journal_opt.dir.
-     * @p dev drives the pipeline-scheduler accounting of re-submitted
-     * and new tasks. @p metrics (not owned, may be nullptr) receives
-     * the bzk_journal_* series.
+     * @p metrics (not owned, may be nullptr) receives the
+     * bzk_journal_* series.
      */
-    DurableProofService(gpusim::Device &dev,
-                        journal::JournalOptions journal_opt,
-                        SystemOptions opt = {},
-                        obs::MetricsRegistry *metrics = nullptr);
+    explicit DurableProofService(journal::JournalOptions journal_opt,
+                                 SystemOptions opt = {},
+                                 obs::MetricsRegistry *metrics = nullptr);
 
     /** What recovery replayed, restored, and re-submitted. */
     const RecoveryInfo &recovery() const { return recovery_; }
@@ -122,13 +121,6 @@ class DurableProofService
      */
     size_t processAll(const CrashHook &crash = {});
 
-    /**
-     * Pipeline-scheduler accounting for the current pending set (the
-     * re-submission path recovery uses). Simulation only; returns an
-     * empty result when nothing is pending.
-     */
-    sched::SchedulerResult scheduleAccounting();
-
     /** Completed proofs: task id -> self-contained completion record. */
     const std::map<uint64_t, journal::CompletionRecord> &proofs() const
     {
@@ -150,7 +142,6 @@ class DurableProofService
     std::vector<uint8_t> proveTask(const journal::TaskRecord &task,
                                    const CrashHook &crash, bool &crashed);
 
-    gpusim::Device &dev_;
     SystemOptions opt_;
     obs::MetricsRegistry *metrics_ = nullptr;
     std::unique_ptr<journal::Journal> journal_;

@@ -191,7 +191,7 @@ class TensorPcs
         std::vector<F> r_row(point.begin(), point.begin() + row_vars_);
         auto eq_row = eqTable(r_row);
         if (exec)
-            exec->setRegion("sumcheck");
+            exec->setRegion("open");
 
         PcsEvalProof<F> proof;
         proof.eval_row.assign(m, F::zero());

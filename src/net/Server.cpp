@@ -21,7 +21,6 @@
 #include "gpusim/DeviceSpec.h"
 #include "net/RateLimiter.h"
 #include "net/Socket.h"
-#include "sched/AdmissionQueue.h"
 #include "sched/CycleModel.h"
 #include "util/Log.h"
 
@@ -108,16 +107,7 @@ struct Completion
 struct ProofServer::Impl
 {
     Impl(ServerOptions o, ProofExecutor &e, obs::MetricsRegistry *m)
-        : opt(std::move(o)), executor(e), metrics(m),
-          // The queue deadline is enforced here against the aligned
-          // payload deque (sweepDeadline), not inside the
-          // AdmissionQueue, so expiry fires even while the in-flight
-          // window is full.
-          admission(sched::AdmissionOptions{
-              .timeout_ms = 0.0,
-              .max_retries = 0,
-              .backoff_base_ms = 0.0,
-              .queue_capacity = opt.queue_capacity})
+        : opt(std::move(o)), executor(e), metrics(m)
     {
     }
 
@@ -146,7 +136,6 @@ struct ProofServer::Impl
     /// @{
     std::unordered_map<uint64_t, Connection> conns;
     uint64_t next_conn_id = kFirstConnId;
-    sched::AdmissionQueue admission;
     std::deque<NetTask> payloads;
     std::unordered_map<uint64_t, TokenBucket> buckets;
     size_t inflight = 0;
@@ -545,9 +534,7 @@ ProofServer::Impl::onSubmit(uint64_t cid, const Submit &submit,
         return;
     }
 
-    size_t pre_shed = admission.shed();
-    admission.submit(now);
-    if (admission.shed() > pre_shed) {
+    if (opt.queue_capacity > 0 && payloads.size() >= opt.queue_capacity) {
         reply.status = Status::Shed;
         count("bzk_net_sheds_total", "submits shed at a full queue");
         bump([&](ServerStats &st) {
@@ -573,11 +560,10 @@ ProofServer::Impl::sweepDeadline(double now)
     if (opt.queue_timeout_ms <= 0.0)
         return;
     // The deque is FIFO by submit time, so only the front can have
-    // expired; the admission queue pops in the same order, keeping the
-    // two aligned.
+    // expired; the deadline is checked here, not at admission, so
+    // expiry fires even while the in-flight window is full.
     while (!payloads.empty() &&
            now - payloads.front().submitted_ms > opt.queue_timeout_ms) {
-        admission.admitOne(now); // discard the aligned queue entry
         NetTask t = std::move(payloads.front());
         payloads.pop_front();
         count("bzk_net_queue_timeouts_total",
@@ -603,8 +589,6 @@ ProofServer::Impl::pump(double now)
 {
     sweepDeadline(now);
     while (inflight < window && !payloads.empty()) {
-        if (!admission.admitOne(now))
-            break;
         NetTask t = std::move(payloads.front());
         payloads.pop_front();
         if (!conns.count(t.conn_id)) {
@@ -763,7 +747,7 @@ void
 ProofServer::Impl::updateGauges()
 {
     bump([&](ServerStats &st) {
-        st.queue_depth = admission.depth();
+        st.queue_depth = payloads.size();
         st.peak_queue_depth =
             std::max(st.peak_queue_depth, st.queue_depth);
         st.inflight = inflight;
@@ -774,7 +758,7 @@ ProofServer::Impl::updateGauges()
     metrics->gauge("bzk_net_open_connections", "connections open now")
         .set(static_cast<double>(conns.size()));
     metrics->gauge("bzk_net_queue_depth", "submits awaiting admission")
-        .set(static_cast<double>(admission.depth()));
+        .set(static_cast<double>(payloads.size()));
     metrics->gauge("bzk_net_inflight", "tasks past admission")
         .set(static_cast<double>(inflight));
     metrics->gauge("bzk_net_window", "in-flight window")

@@ -14,9 +14,8 @@
  *
  *   1. parameter check        -> Result{Invalid}
  *   2. per-tenant token bucket -> Result{Retry, retry_after_ms}
- *   3. bounded admission queue -> Result{Shed} (sched::AdmissionQueue,
- *      the same guard-rail engine the streaming service admits through;
- *      a queue deadline expiry also sheds)
+ *   3. bounded admission queue -> Result{Shed} (one FIFO deque; a
+ *      queue deadline expiry also sheds)
  *   4. bounded in-flight window -> tasks wait in the queue; the window
  *      defaults to the pipeline depth from sched::CycleModel, so the
  *      server admits exactly as deep as the prover pipeline it fronts

@@ -4,34 +4,19 @@
 
 #include "gpusim/Calibration.h"
 #include "gpusim/Device.h"
-#include "gpusim/FaultInjector.h"
-#include "sched/LaneAllocator.h"
 
 namespace bzk::sched {
 
 CycleModel::CycleModel(const StageGraph &graph, const gpusim::Device &dev,
                        bool overlap_transfers)
-    : overlap_(overlap_transfers)
 {
     double cores = dev.spec().cuda_cores;
     comp_ms_ = graph.totalCycles() / (cores * dev.spec().cyclesPerMs()) +
                gpusim::kKernelLaunchMs;
     comm_ms_ = dev.copyDurationMs(graph.h2dBytes());
-    cycle_ms_ = overlap_ ? std::max(comp_ms_, comm_ms_)
-                         : comp_ms_ + comm_ms_;
+    cycle_ms_ = overlap_transfers ? std::max(comp_ms_, comm_ms_)
+                                  : comp_ms_ + comm_ms_;
     depth_ = graph.totalDepth();
-}
-
-double
-CycleModel::stepMs(gpusim::FaultInjector &inj, size_t cycle) const
-{
-    inj.beginCycle(cycle);
-    double comp = comp_ms_;
-    double failed = inj.failedLaneFraction();
-    if (failed > 0.0)
-        comp /= LaneAllocator::survivorFraction(failed);
-    double comm = comm_ms_ * inj.transferStallMultiplier();
-    return overlap_ ? std::max(comp, comm) : comp + comm;
 }
 
 } // namespace bzk::sched

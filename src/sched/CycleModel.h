@@ -8,8 +8,8 @@
  * slower of its computation and its (optionally overlapped) input
  * transfer. This is the analytic counterpart of one PipelineScheduler
  * cycle, used by front-ends that need the admission interval without
- * stepping the device timeline (the streaming service, the multi-GPU
- * dispatcher's makespan predictions).
+ * stepping the device timeline (the proof server's in-flight window,
+ * the multi-GPU dispatcher's makespan predictions).
  */
 
 #include <cstddef>
@@ -18,7 +18,6 @@
 
 namespace bzk::gpusim {
 class Device;
-class FaultInjector;
 } // namespace bzk::gpusim
 
 namespace bzk::sched {
@@ -58,19 +57,11 @@ class CycleModel
         return depth_;
     }
 
-    /**
-     * Duration of pipeline cycle @p cycle under @p inj's faults:
-     * failed lanes stretch the compute onto the survivors, transfer
-     * stalls stretch the streamed input. Calls @c inj->beginCycle().
-     */
-    double stepMs(gpusim::FaultInjector &inj, size_t cycle) const;
-
   private:
     double comp_ms_ = 0.0;
     double comm_ms_ = 0.0;
     double cycle_ms_ = 0.0;
     size_t depth_ = 0;
-    bool overlap_ = true;
 };
 
 } // namespace bzk::sched

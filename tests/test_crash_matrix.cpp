@@ -3,9 +3,7 @@
 // power cut between pipeline stages), the service is restarted on the
 // same journal directory, replay re-submits the unfinished tasks, and
 // every admitted task must end with exactly one proof whose bytes are
-// bit-identical to the proof of an uninterrupted run. Also composes
-// the kill points with the GPU-sim fault injector: degraded devices
-// change the simulated schedule, never the proof bytes.
+// bit-identical to the proof of an uninterrupted run.
 //
 // Labeled `slow` in ctest: the matrix re-proves real (small) instances
 // under every kill point, which is minutes under sanitizers.
@@ -20,8 +18,6 @@
 #include <unistd.h>
 
 #include "core/DurableService.h"
-#include "gpusim/Device.h"
-#include "gpusim/FaultInjector.h"
 #include "journal/Journal.h"
 #include "obs/Metrics.h"
 
@@ -114,8 +110,7 @@ baselineProofs()
 {
     static std::map<uint64_t, std::vector<uint8_t>> cached = [] {
         TempDir dir;
-        gpusim::Device dev(gpusim::DeviceSpec::gh200());
-        DurableProofService service(dev, {dir.path});
+        DurableProofService service({dir.path});
         for (const auto &spec : matrixTasks())
             EXPECT_TRUE(service.submit(spec));
         EXPECT_EQ(service.processAll(), matrixTasks().size());
@@ -141,10 +136,9 @@ TEST(CrashMatrix, EveryStageOfEveryTaskRecoversBitIdentically)
                          std::to_string(victim.id) + " at " +
                          stageName(stage));
             TempDir dir;
-            gpusim::Device dev(gpusim::DeviceSpec::gh200());
             size_t completed_before_crash = 0;
             {
-                DurableProofService service(dev, {dir.path});
+                DurableProofService service({dir.path});
                 for (const auto &spec : matrixTasks())
                     ASSERT_TRUE(service.submit(spec));
                 completed_before_crash = service.processAll(
@@ -164,8 +158,7 @@ TEST(CrashMatrix, EveryStageOfEveryTaskRecoversBitIdentically)
             }
 
             obs::MetricsRegistry metrics;
-            DurableProofService restarted(dev, {dir.path}, {},
-                                          &metrics);
+            DurableProofService restarted({dir.path}, {}, &metrics);
             EXPECT_EQ(restarted.recovery().proofs_restored,
                       completed_before_crash);
             EXPECT_EQ(restarted.recovery().tasks_resubmitted,
@@ -196,8 +189,7 @@ TEST(CrashMatrix, MixedProtocolBatchRecoversBitIdentically)
     std::map<uint64_t, std::vector<uint8_t>> baseline;
     {
         TempDir dir;
-        gpusim::Device dev(gpusim::DeviceSpec::gh200());
-        DurableProofService service(dev, {dir.path});
+        DurableProofService service({dir.path});
         for (const auto &spec : mixedKindTasks())
             ASSERT_TRUE(service.submit(spec));
         ASSERT_EQ(service.processAll(), mixedKindTasks().size());
@@ -217,10 +209,9 @@ TEST(CrashMatrix, MixedProtocolBatchRecoversBitIdentically)
                          sched::protocolKindName(victim.kind) +
                          ") at " + stageName(stage));
             TempDir dir;
-            gpusim::Device dev(gpusim::DeviceSpec::gh200());
             size_t completed_before_crash = 0;
             {
-                DurableProofService service(dev, {dir.path});
+                DurableProofService service({dir.path});
                 for (const auto &spec : mixedKindTasks())
                     ASSERT_TRUE(service.submit(spec));
                 completed_before_crash = service.processAll(
@@ -232,7 +223,7 @@ TEST(CrashMatrix, MixedProtocolBatchRecoversBitIdentically)
                           mixedKindTasks().size());
             }
 
-            DurableProofService restarted(dev, {dir.path});
+            DurableProofService restarted({dir.path});
             EXPECT_EQ(restarted.recovery().tasks_resubmitted,
                       mixedKindTasks().size() -
                           completed_before_crash);
@@ -252,9 +243,8 @@ TEST(CrashMatrix, RepeatedCrashesAcrossRestartsStillConverge)
 {
     auto baseline = baselineProofs();
     TempDir dir;
-    gpusim::Device dev(gpusim::DeviceSpec::gh200());
     {
-        DurableProofService service(dev, {dir.path});
+        DurableProofService service({dir.path});
         for (const auto &spec : matrixTasks())
             ASSERT_TRUE(service.submit(spec));
     }
@@ -274,7 +264,7 @@ TEST(CrashMatrix, RepeatedCrashesAcrossRestartsStillConverge)
         }
     };
     for (size_t allowed : {size_t{0}, size_t{1}}) {
-        DurableProofService service(dev, {dir.path});
+        DurableProofService service({dir.path});
         size_t started = 0;
         uint64_t current = 0;
         size_t completed = service.processAll(
@@ -291,7 +281,7 @@ TEST(CrashMatrix, RepeatedCrashesAcrossRestartsStillConverge)
         capture(service);
     }
 
-    DurableProofService final_run(dev, {dir.path});
+    DurableProofService final_run({dir.path});
     final_run.processAll();
     EXPECT_EQ(final_run.pendingCount(), 0u);
     capture(final_run);
@@ -306,9 +296,8 @@ TEST(CrashMatrix, RepeatedCrashesAcrossRestartsStillConverge)
 TEST(CrashMatrix, DoubleReplayIsIdempotent)
 {
     TempDir dir;
-    gpusim::Device dev(gpusim::DeviceSpec::gh200());
     {
-        DurableProofService service(dev, {dir.path});
+        DurableProofService service({dir.path});
         for (const auto &spec : matrixTasks())
             ASSERT_TRUE(service.submit(spec));
         service.processAll([](uint64_t, ProveStage) { return false; });
@@ -316,48 +305,11 @@ TEST(CrashMatrix, DoubleReplayIsIdempotent)
     // Two replays with no processing in between: the pending set must
     // not grow — replay is at-least-once, proving is exactly-once.
     {
-        DurableProofService service(dev, {dir.path});
+        DurableProofService service({dir.path});
         EXPECT_EQ(service.pendingCount(), matrixTasks().size());
     }
-    DurableProofService service(dev, {dir.path});
+    DurableProofService service({dir.path});
     EXPECT_EQ(service.pendingCount(), matrixTasks().size());
     EXPECT_EQ(service.processAll(), matrixTasks().size());
     EXPECT_TRUE(service.verifyAll());
-}
-
-TEST(CrashMatrix, FaultInjectedDeviceChangesScheduleNotProofs)
-{
-    auto baseline = baselineProofs();
-    TempDir dir;
-    // A degraded device: transfer stalls and failed lanes throughout.
-    gpusim::FaultInjector injector(
-        gpusim::FaultPlan::random(/*seed=*/9, /*horizon=*/256,
-                                  /*intensity=*/0.8),
-        /*seed=*/9);
-    gpusim::Device dev(gpusim::DeviceSpec::v100());
-    dev.setFaultInjector(&injector);
-
-    {
-        DurableProofService service(dev, {dir.path});
-        for (const auto &spec : matrixTasks())
-            ASSERT_TRUE(service.submit(spec));
-        // Kill the highest-priority task at the Merkle boundary while
-        // the device is also faulted.
-        service.processAll([](uint64_t task_id, ProveStage stage) {
-            return !(task_id == 102 &&
-                     stage == ProveStage::Merkle);
-        });
-    }
-
-    DurableProofService restarted(dev, {dir.path});
-    // Recovery re-submission runs through the pipeline scheduler on
-    // the faulted device: the accounting must still cover every
-    // pending task (faults degrade, they do not drop work).
-    auto schedule = restarted.scheduleAccounting();
-    EXPECT_EQ(schedule.tasks.size(), restarted.pendingCount());
-    restarted.processAll();
-    EXPECT_TRUE(restarted.verifyAll());
-    ASSERT_EQ(restarted.proofs().size(), baseline.size());
-    for (const auto &[id, completion] : restarted.proofs())
-        EXPECT_EQ(completion.proof, baseline.at(id)) << "task " << id;
 }

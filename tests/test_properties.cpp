@@ -310,11 +310,10 @@ TEST_P(DurableIdempotency, DuplicatesAndDoubleReplayYieldOneProof)
         std::swap(submissions[i - 1],
                   submissions[rng.nextBounded(i)]);
 
-    gpusim::Device dev(gpusim::DeviceSpec::gh200());
     obs::MetricsRegistry metrics;
     size_t absorbed_at_submit = 0;
     {
-        DurableProofService service(dev, {dir}, {}, &metrics);
+        DurableProofService service({dir}, {}, &metrics);
         for (const auto &spec : submissions)
             if (!service.submit(spec))
                 ++absorbed_at_submit;
@@ -335,11 +334,11 @@ TEST_P(DurableIdempotency, DuplicatesAndDoubleReplayYieldOneProof)
     // is now a duplicate of a pending or completed task), restart
     // again without processing in between.
     {
-        DurableProofService service(dev, {dir});
+        DurableProofService service({dir});
         for (const auto &spec : submissions)
             EXPECT_FALSE(service.submit(spec));
     }
-    DurableProofService service(dev, {dir});
+    DurableProofService service({dir});
     EXPECT_EQ(service.pendingCount() + service.proofs().size(), unique);
     service.processAll();
     EXPECT_EQ(service.pendingCount(), 0u);
@@ -358,10 +357,9 @@ TEST(DurableMixedBatch, ProcessesAndVerifiesBothKinds)
 {
     char tmpl[] = "/tmp/bzk_mixed_XXXXXX";
     std::string dir = ::mkdtemp(tmpl);
-    gpusim::Device dev(gpusim::DeviceSpec::gh200());
     obs::MetricsRegistry metrics;
     {
-        DurableProofService service(dev, {dir}, {}, &metrics);
+        DurableProofService service({dir}, {}, &metrics);
         for (uint64_t i = 0; i < 4; ++i) {
             DurableTaskSpec spec;
             spec.id = 600 + i;
@@ -399,7 +397,7 @@ TEST(DurableMixedBatch, ProcessesAndVerifiesBothKinds)
 
     // A restart on the same journal restores both kinds' proofs and
     // still verifies them.
-    DurableProofService restarted(dev, {dir});
+    DurableProofService restarted({dir});
     EXPECT_EQ(restarted.recovery().proofs_restored, 4u);
     EXPECT_EQ(restarted.pendingCount(), 0u);
     EXPECT_TRUE(restarted.verifyAll());

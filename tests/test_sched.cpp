@@ -4,9 +4,8 @@
  * re-hosted PipelinedZkpSystem reproduces the pre-refactor loop bit
  * for bit (proof bytes and every stat), heterogeneous-batch work
  * conservation, lane-allocation policies, degraded-lane re-allocation,
- * the admission queue's guard rails, and the multi-GPU dispatcher's
- * slice accounting (largest remainder, idle surplus cards, per-device
- * seeded Rng).
+ * and the multi-GPU dispatcher's slice accounting (largest remainder,
+ * idle surplus cards, per-device seeded Rng).
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "gpusim/FaultInjector.h"
 #include "hash/Sha256.h"
 #include "obs/Metrics.h"
-#include "sched/AdmissionQueue.h"
 #include "sched/CycleModel.h"
 #include "sched/LaneAllocator.h"
 #include "sched/PipelineScheduler.h"
@@ -574,40 +572,6 @@ TEST(SchedDegradation, FailedLanesStretchOnlyTheFaultWindow)
     EXPECT_DOUBLE_EQ(degraded.relocated_lane_fraction, 0.5);
     EXPECT_GT(degraded.stats.total_ms, healthy.stats.total_ms);
     EXPECT_EQ(degraded.task_stats.size(), healthy.task_stats.size());
-}
-
-TEST(AdmissionQueueTest, ShedsAtCapacityAndCountsDrops)
-{
-    sched::AdmissionQueue q({/*timeout_ms=*/1.0, /*max_retries=*/0,
-                             /*backoff=*/1.0, /*capacity=*/2});
-    q.submit(0.0);
-    q.submit(0.0);
-    q.submit(0.0); // over capacity
-    EXPECT_EQ(q.depth(), 2u);
-    EXPECT_EQ(q.shed(), 1u);
-    // Both queued requests are stale at t=5: timed out and (with no
-    // retries) dropped; nothing is admitted.
-    EXPECT_FALSE(q.admitOne(5.0).has_value());
-    EXPECT_EQ(q.timedOut(), 2u);
-    EXPECT_EQ(q.dropped(), 2u);
-}
-
-TEST(AdmissionQueueTest, RetryBacksOffExponentially)
-{
-    sched::AdmissionQueue q({/*timeout_ms=*/1.0, /*max_retries=*/2,
-                             /*backoff=*/4.0, /*capacity=*/0});
-    q.submit(0.0);
-    EXPECT_FALSE(q.admitOne(2.0).has_value()); // stale -> resubmit @6
-    EXPECT_EQ(q.retried(), 1u);
-    q.pullResubmits(5.0);
-    EXPECT_EQ(q.depth(), 0u); // not due yet
-    q.pullResubmits(6.0);
-    ASSERT_EQ(q.depth(), 1u);
-    auto p = q.admitOne(6.5);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_DOUBLE_EQ(p->first_arrival, 0.0);
-    EXPECT_EQ(p->attempt, 1u);
-    EXPECT_EQ(q.dropped(), 0u);
 }
 
 TEST(MultiGpuDispatch, SlicesSumExactlyToBatch)

@@ -9,6 +9,7 @@
 
 #include "core/Serialize.h"
 #include "core/TensorSnark.h"
+#include "exec/ExecContext.h"
 #include "ff/Fields.h"
 
 namespace bzk {
@@ -55,6 +56,20 @@ TYPED_TEST(SnarkT, ProveVerifyRoundTrip)
         for (const auto &g : proof.gate_sc.rounds)
             EXPECT_EQ(g.size(), TestFixture::Rel::kEvals);
     }
+}
+
+TYPED_TEST(SnarkT, OpeningIsItsOwnRegion)
+{
+    // Each of the three table openings runs two row combinations
+    // (evaluation and proximity), and both are accounted to "open",
+    // not to the sum-check that precedes them.
+    Rng rng(4);
+    auto tables = TestFixture::satisfiedTables(8, rng);
+    typename TestFixture::Snark snark(8, 99);
+    exec::ExecContext exec;
+    snark.setExec(&exec);
+    snark.prove(tables, {});
+    EXPECT_EQ(exec.stats("open").calls, 6u);
 }
 
 TYPED_TEST(SnarkT, ProofSizeIsNontrivial)

@@ -11,6 +11,7 @@
 #include "baseline/OldProtocol.h"
 #include "core/PipelinedSystem.h"
 #include "core/Serialize.h"
+#include "ff/FieldBackend.h"
 #include "gpusim/Device.h"
 
 namespace bzk {
@@ -172,6 +173,29 @@ TEST_F(SystemTest, CpuBaselineVerifiesAndIsSlower)
               gpu_result.stats.item_latency_ms);
     EXPECT_GT(gpu_result.stats.throughput_per_ms,
               cpu_result.stats.throughput_per_ms);
+}
+
+TEST_F(SystemTest, CpuBaselineProvesOnceAndSplitsThatProve)
+{
+    // The module split comes from the one measured prove: the baseline
+    // drives exactly the encoder rows of one prove plus its verify.
+    SystemOptions opt;
+    Rng rng(8);
+    SameModulesCpuBaseline cpu(opt, /*measure_cap_vars=*/10);
+    uint64_t before = ff::kernelCounters().u32_dot_rows;
+    auto result = cpu.run(1, 10, rng);
+    uint64_t baseline_rows = ff::kernelCounters().u32_dot_rows - before;
+    ASSERT_TRUE(result.verified);
+
+    Rng same(8);
+    auto tables = randomInstance(10, same);
+    Snark<Fr> snark(10, opt.seed, opt.column_openings);
+    before = ff::kernelCounters().u32_dot_rows;
+    EXPECT_TRUE(snark.verify(snark.prove(tables, {}), {}));
+    EXPECT_EQ(baseline_rows, ff::kernelCounters().u32_dot_rows - before);
+
+    double split = result.encoder_ms + result.merkle_ms + result.sumcheck_ms;
+    EXPECT_DOUBLE_EQ(split, result.stats.first_latency_ms);
 }
 
 TEST_F(SystemTest, ThroughputScalesAcrossGpus)

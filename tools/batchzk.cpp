@@ -34,7 +34,7 @@
  *       accounting plus the aggregate schedule. --sizes takes a comma
  *       list of per-task log-sizes (e.g. 10,10,12,14); without it the
  *       batch is uniform at --log-gates;
- *   batchzk recover --journal-dir DIR [--gpu NAME]
+ *   batchzk recover --journal-dir DIR [--threads T]
  *       replay a durable task journal, re-prove every admitted task
  *       that has no completion record, and print the recovery
  *       accounting (records replayed, torn offset, proofs restored);
@@ -239,12 +239,10 @@ cmdRecover(const Args &args)
 {
     if (args.journal_dir.empty())
         fatal("recover needs --journal-dir DIR");
-    gpusim::Device dev(specByName(args.gpu));
     obs::MetricsRegistry metrics;
     SystemOptions opt;
-    opt.seed = args.seed;
     opt.threads = args.threads;
-    DurableProofService service(dev, {args.journal_dir}, opt, &metrics);
+    DurableProofService service({args.journal_dir}, opt, &metrics);
     const RecoveryInfo &recovery = service.recovery();
 
     Timer timer;
